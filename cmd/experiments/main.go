@@ -217,18 +217,18 @@ func main() {
 
 	// Coordinated roles share the sweep Runner; the configuration is the
 	// same on every side so the plan fingerprints agree.
-	var coordOpts []rmwtso.Option
+	var coordCfg *rmwtso.CoordinationConfig
 	if coordModes > 0 {
 		crashWorker := "" // -worker: the process has exactly one worker
 		if *coordN > 0 {
 			crashWorker = "worker-0" // keep the in-process sweep able to finish
 		}
-		coordOpts = append(coordOpts, rmwtso.WithCoordinator(rmwtso.CoordinationConfig{
+		coordCfg = &rmwtso.CoordinationConfig{
 			Workers:       *coordN,
 			LeaseTTL:      *leaseTTL,
 			MaxAttempts:   *maxAtt,
 			FaultInjector: buildFaultInjector(*failUnit, *crashAfter, crashWorker),
-		}))
+		}
 	}
 
 	// The plan pipeline: every mode below agrees on unit identities
@@ -261,7 +261,7 @@ func main() {
 				}
 				name = fmt.Sprintf("worker-%s-%d", host, os.Getpid())
 			}
-			err := newRunner(*par, cache, *progress, coordOpts...).RunPlanWorker(nil, plan, *workerArg, name)
+			err := newRunner(*par, cache, *progress).RunPlanWorker(nil, plan, *workerArg, name, *coordCfg)
 			if errors.Is(err, rmwtso.ErrInjectedCrash) {
 				fmt.Fprintf(os.Stderr, "experiments: worker %s: injected crash (-crash-after %d); lease left to expire\n", name, *crashAfter)
 				os.Exit(3)
@@ -272,7 +272,7 @@ func main() {
 			return
 
 		case *serveArg != "":
-			srv, err := newRunner(*par, cache, *progress, coordOpts...).NewCoordServer(plan, rmwtso.FullShard())
+			srv, err := newRunner(*par, cache, *progress).NewCoordServer(plan, rmwtso.FullShard(), *coordCfg, nil)
 			check(err)
 			ln, err := net.Listen("tcp", *serveArg)
 			check(err)
@@ -301,7 +301,7 @@ func main() {
 			}
 			shard, err := rmwtso.ParseShard(*shardArg)
 			check(err)
-			res, err := newRunner(*par, cache, *progress, coordOpts...).RunPlan(nil, plan, shard)
+			res, err := runPlan(newRunner(*par, cache, *progress), plan, shard, coordCfg)
 			var dle *rmwtso.DeadLetterError
 			if errors.As(err, &dle) {
 				// A shard artifact with holes would only fail the merge
@@ -333,7 +333,7 @@ func main() {
 			return
 
 		default: // -format/-coordinate without -shard/-merge: unsharded full report.
-			res, err := newRunner(*par, cache, *progress, coordOpts...).RunPlan(nil, plan, rmwtso.FullShard())
+			res, err := runPlan(newRunner(*par, cache, *progress), plan, rmwtso.FullShard(), coordCfg)
 			emitCoordinated(opts, plan, res, err, *format)
 			reportCache(cache)
 			return
@@ -422,7 +422,7 @@ func main() {
 
 // newRunner builds the sweep Runner shared by the legacy, plan and
 // coordinated modes.
-func newRunner(par int, cache *rmwtso.Cache, progress bool, extra ...rmwtso.Option) *rmwtso.Runner {
+func newRunner(par int, cache *rmwtso.Cache, progress bool) *rmwtso.Runner {
 	runnerOpts := []rmwtso.Option{}
 	if par > 0 {
 		runnerOpts = append(runnerOpts, rmwtso.WithParallelism(par))
@@ -458,7 +458,21 @@ func newRunner(par int, cache *rmwtso.Cache, progress bool, extra ...rmwtso.Opti
 			}
 		}))
 	}
-	return rmwtso.NewRunner(append(runnerOpts, extra...)...)
+	return rmwtso.NewRunner(runnerOpts...)
+}
+
+// runPlan runs one plan shard, through its own lease queue when coord is
+// set.
+func runPlan(r *rmwtso.Runner, plan *rmwtso.Plan, shard rmwtso.Shard, coord *rmwtso.CoordinationConfig) (*rmwtso.ShardResult, error) {
+	h, err := r.Submit(nil, rmwtso.Job{Plan: plan, Shard: shard, Coordination: coord})
+	if err != nil {
+		return nil, err
+	}
+	res, err := h.Wait()
+	if err != nil {
+		return nil, err
+	}
+	return res.Shard, nil
 }
 
 // buildFaultInjector compiles the -fail-unit/-crash-after flags into a

@@ -62,7 +62,6 @@ func main() {
 	}
 	kinds := map[string]int{}
 	runner := rmwtso.NewRunner(
-		rmwtso.WithCoordinator(cfg),
 		rmwtso.WithObserver(func(e rmwtso.Event) {
 			if e.Coord == nil {
 				return
@@ -75,7 +74,7 @@ func main() {
 			}
 		}),
 	)
-	res, err := runner.RunPlan(nil, plan, rmwtso.FullShard())
+	res, err := coordinated(runner, plan, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -108,7 +107,7 @@ func main() {
 		}
 		return nil
 	}
-	_, err = rmwtso.NewRunner(rmwtso.WithCoordinator(cfg)).RunPlan(nil, plan, rmwtso.FullShard())
+	_, err = coordinated(rmwtso.NewRunner(), plan, cfg)
 	dle, ok := err.(*rmwtso.DeadLetterError)
 	if !ok {
 		log.Fatalf("want *DeadLetterError, got %v", err)
@@ -124,6 +123,19 @@ func main() {
 		fmt.Printf("  dead-lettered: %s (%s under %s) after %d attempts; last: %s\n",
 			d.Unit, d.Trace, d.Type, d.Attempts, d.Reasons[len(d.Reasons)-1])
 	}
+}
+
+// coordinated runs the whole plan as one job through its own lease queue.
+func coordinated(r *rmwtso.Runner, plan *rmwtso.Plan, cfg rmwtso.CoordinationConfig) (*rmwtso.ShardResult, error) {
+	h, err := r.Submit(nil, rmwtso.Job{Plan: plan, Coordination: &cfg})
+	if err != nil {
+		return nil, err
+	}
+	res, err := h.Wait()
+	if err != nil {
+		return nil, err
+	}
+	return res.Shard, nil
 }
 
 // encode renders the report for the byte-identity comparison.

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/coordinator"
-	"repro/internal/simcache"
 )
 
 // ErrInjectedCrash is the error a FaultInjector returns to simulate a
@@ -44,8 +43,9 @@ type CoordEvent struct {
 // Fault injection exists for tests, demos and CI crash drills.
 type FaultInjector func(worker string, unit Unit, attempt int) error
 
-// CoordinationConfig tunes a coordinated sweep (WithCoordinator). The
-// zero value picks the noted defaults.
+// CoordinationConfig tunes a coordinated sweep: a plan job that sets
+// Job.Coordination, a CoordServer or a RunPlanWorker. The zero value
+// picks the noted defaults.
 type CoordinationConfig struct {
 	// Workers is how many in-process pull workers a plan job spawns.
 	// Default: the engine's parallelism. Ignored by the HTTP mode, where
@@ -83,62 +83,6 @@ func (c CoordinationConfig) heartbeat() time.Duration {
 	return ttl / 3
 }
 
-// queueConfig maps the sweep configuration onto the coordinator's.
-func (c CoordinationConfig) queueConfig(onEvent func(coordinator.Event)) coordinator.Config {
-	return coordinator.Config{
-		LeaseTTL:     c.LeaseTTL,
-		MaxAttempts:  c.MaxAttempts,
-		RetryBackoff: c.RetryBackoff,
-		MaxBackoff:   c.MaxBackoff,
-		Seed:         c.Seed,
-		OnEvent:      onEvent,
-	}
-}
-
-// WithCoordinator switches the engine's plan jobs to dynamic
-// coordination: instead of the static per-worker split, the shard's units
-// go into a pull queue and workers lease them one at a time under
-// heartbeat-kept leases — a crashed worker's unit is requeued on lease
-// expiry, a repeatedly failing unit is retried with backoff and then
-// dead-lettered (the job returns a *DeadLetterError carrying the partial
-// results), and the completed sweep's results are byte-identical to a
-// static run's. The same configuration drives the HTTP mode
-// (NewCoordServer, RunPlanWorker) for fleets that span machines.
-func WithCoordinator(cfg CoordinationConfig) Option {
-	return func(o *options) { o.coord = &cfg }
-}
-
-// coordConfig returns the engine's coordination configuration, or the
-// all-defaults configuration when WithCoordinator was not given (the
-// HTTP entry points work without it).
-func (e *Engine) coordConfig() CoordinationConfig {
-	if e.opts.coord != nil {
-		return *e.opts.coord
-	}
-	return CoordinationConfig{}
-}
-
-// coordObserver builds the queue's event callback: each transition feeds
-// the job's metrics (live lease gauge) and the observer streams.
-func (e *Engine) coordObserver(m *metrics) func(coordinator.Event) {
-	return func(ev coordinator.Event) {
-		m.coordEvent(ev)
-		e.emitCoord(m, ev)
-	}
-}
-
-// emitCoord forwards one queue transition to the engine's observer and
-// the owning job's stream.
-func (e *Engine) emitCoord(m *metrics, ev coordinator.Event) {
-	e.emitTo(m, Event{Coord: &CoordEvent{
-		Kind:    string(ev.Kind),
-		Unit:    UnitID(ev.Task),
-		Worker:  ev.Worker,
-		Attempt: ev.Attempt,
-		Reason:  ev.Reason,
-	}})
-}
-
 // DeadLetterError reports a coordinated sweep that completed with
 // dead-lettered units: every other unit finished (the queue drained),
 // but the listed units failed all their attempts. Partial carries the
@@ -163,54 +107,35 @@ func (e *DeadLetterError) Error() string {
 		len(dls), len(e.Partial.Units)+len(dls), boundedList(ids, listedUnitsMax))
 }
 
-// sourcePool builds group trace sources lazily, once per group, as
-// coordinated workers lease into them — a pull worker cannot know up
-// front which groups it will touch.
-type sourcePool struct {
-	plan     *Plan
-	cache    *simcache.Cache
-	selected map[UnitID]bool
-
-	mu   sync.Mutex
-	srcs map[int]TraceSource
-	errs map[int]error
+// newQueue builds the lease queue over the selected units, feeding its
+// transitions to the job's metrics and event streams.
+func (x *planExec) newQueue(cfg CoordinationConfig) (*coordinator.Queue, error) {
+	ids := make([]string, len(x.selected))
+	for i, u := range x.selected {
+		ids[i] = string(u.ID)
+	}
+	return coordinator.NewQueue(coordinator.Config{
+		LeaseTTL:     cfg.LeaseTTL,
+		MaxAttempts:  cfg.MaxAttempts,
+		RetryBackoff: cfg.RetryBackoff,
+		MaxBackoff:   cfg.MaxBackoff,
+		Seed:         cfg.Seed,
+		OnEvent: func(ev coordinator.Event) {
+			x.m.coordEvent(ev)
+			x.e.emitTo(x.m, Event{Coord: &CoordEvent{
+				Kind: string(ev.Kind), Unit: UnitID(ev.Task), Worker: ev.Worker,
+				Attempt: ev.Attempt, Reason: ev.Reason,
+			}})
+		},
+	}, ids)
 }
 
-func newSourcePool(plan *Plan, cache *simcache.Cache, selected map[UnitID]bool) *sourcePool {
-	return &sourcePool{
-		plan: plan, cache: cache, selected: selected,
-		srcs: map[int]TraceSource{}, errs: map[int]error{},
-	}
-}
-
-// get returns the group's source, building it on first use. A build
-// error is sticky: generation is deterministic, so retrying cannot heal
-// it and the failure nacks every unit of the group into the DLQ.
-func (sp *sourcePool) get(group int) (TraceSource, error) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if src, ok := sp.srcs[group]; ok {
-		return src, nil
-	}
-	if err, ok := sp.errs[group]; ok {
-		return nil, err
-	}
-	src, err := sp.plan.groupSource(sp.plan.groups[group], sp.cache, sp.selected)
-	if err != nil {
-		sp.errs[group] = err
-		return nil, err
-	}
-	sp.srcs[group] = src
-	return src, nil
-}
-
-// unitExecutor adapts runUnit into a coordinator Executor for one named
-// worker: resolve the leased unit, consult the fault injector, simulate,
-// and return the JSON-encoded UnitResult as the ack payload.
-func (e *Engine) unitExecutor(plan *Plan, pool *sourcePool, cache *simcache.Cache, cfg CoordinationConfig, worker string, m *metrics) coordinator.Executor {
-	base := plan.opts.BaseConfig()
+// executor adapts planExec.run into a coordinator Executor for one named
+// worker: resolve the leased unit, consult the fault injector, run it,
+// and hand the typed result to ack, whose bytes become the ack payload.
+func (x *planExec) executor(cfg CoordinationConfig, worker string, ack func(UnitResult) ([]byte, error)) coordinator.Executor {
 	return func(_ context.Context, task string, attempt int) ([]byte, error) {
-		u, ok := plan.Unit(UnitID(task))
+		u, ok := x.plan.Unit(UnitID(task))
 		if !ok {
 			return nil, fmt.Errorf("rmwtso: leased unit %s is not in the plan", task)
 		}
@@ -219,85 +144,50 @@ func (e *Engine) unitExecutor(plan *Plan, pool *sourcePool, cache *simcache.Cach
 				return nil, err
 			}
 		}
-		src, err := pool.get(u.group)
+		ur, err := x.run(u)
 		if err != nil {
 			return nil, err
 		}
-		ur, err := e.runUnit(base, u, src, cache, m)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(ur)
+		return ack(ur)
 	}
 }
 
-// assembleCoordinated turns a drained queue into the sweep's shard
-// result: ack payloads decode back to UnitResults in plan order, the
-// queue's final snapshot is absorbed into the job's metrics and the
-// coordination summary rebuilt from that snapshot (Metrics.Coordination),
-// and a non-empty dead-letter set is reported as a *DeadLetterError
-// carrying the partial result.
-func (e *Engine) assembleCoordinated(plan *Plan, shard Shard, selected []Unit, q *coordinator.Queue, mode string, m *metrics) (*ShardResult, error) {
+// assemble turns a drained queue into the shard result: the slots of the
+// acked units in selection order, the queue's final snapshot absorbed
+// into the job's metrics and the coordination summary rebuilt from it
+// (Metrics.Coordination). A non-empty dead-letter set is reported as a
+// *DeadLetterError carrying the partial result.
+func (x *planExec) assemble(q *coordinator.Queue, mode string) (*ShardResult, error) {
 	snap := q.Snapshot()
-	m.absorbSnapshot(plan, snap)
-	payloads := q.Payloads()
-	var results []UnitResult
-	for _, u := range selected {
-		data, ok := payloads[string(u.ID)]
-		if !ok {
-			continue // dead-lettered; listed in the coordination section
-		}
-		var ur UnitResult
-		if err := json.Unmarshal(data, &ur); err != nil {
-			return nil, fmt.Errorf("rmwtso: unit %s result payload: %w", u.ID, err)
-		}
-		results = append(results, ur)
-	}
-	res := &ShardResult{
-		Plan:         plan.fp,
-		Index:        shard.Index,
-		Count:        shard.Count,
-		Filtered:     shard.Only != nil,
-		Units:        results,
-		Coordination: m.snapshot().Coordination(mode),
-	}
+	x.m.absorbSnapshot(x.plan, snap)
+	acked := q.Payloads()
+	res := x.shardResult(func(id UnitID) bool {
+		_, ok := acked[string(id)]
+		return ok
+	})
+	res.Coordination = x.m.snapshot().Coordination(mode)
 	if len(snap.DeadLetters) > 0 {
 		return nil, &DeadLetterError{Partial: res}
 	}
 	return res, nil
 }
 
-// runPlanCoordinated is a plan job through the pull queue: the shard's
-// units are leased one at a time to in-process workers, with crash
-// recovery (lease expiry requeue), bounded retries and dead-lettering —
-// and a completed sweep's results identical to the static path's, since
-// both execute units through runUnit.
-func (e *Engine) runPlanCoordinated(ctx context.Context, plan *Plan, shard Shard, m *metrics, cfg CoordinationConfig) (*ShardResult, error) {
-	if err := shard.Validate(); err != nil {
-		return nil, err
-	}
-	cache, err := e.planCache(plan)
+// runQueue is the lease-queue dispatch loop: the shard's units are
+// leased one at a time to in-process workers, with crash recovery (lease
+// expiry requeue), bounded retries and dead-lettering. Workers fill the
+// typed result slots directly and ack with no payload.
+func (x *planExec) runQueue(ctx context.Context, cfg CoordinationConfig) (*ShardResult, error) {
+	q, err := x.newQueue(cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	selected := plan.Select(shard)
-	m.planned(len(selected))
-	selectedIDs := make(map[UnitID]bool, len(selected))
-	ids := make([]string, len(selected))
-	for i, u := range selected {
-		selectedIDs[u.ID] = true
-		ids[i] = string(u.ID)
-	}
-	q, err := coordinator.NewQueue(cfg.queueConfig(e.coordObserver(m)), ids)
-	if err != nil {
-		return nil, err
-	}
-	pool := newSourcePool(plan, cache, selectedIDs)
-
 	workers := cfg.Workers
 	if workers <= 0 {
-		workers = e.opts.parallelism
+		workers = x.e.opts.parallelism
+	}
+	ack := func(ur UnitResult) ([]byte, error) {
+		x.fill(ur.Unit, ur)
+		return nil, nil
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
@@ -305,7 +195,7 @@ func (e *Engine) runPlanCoordinated(ctx context.Context, plan *Plan, shard Shard
 		w := &coordinator.Worker{
 			Name:      name,
 			Coord:     q,
-			Exec:      e.unitExecutor(plan, pool, cache, cfg, name, m),
+			Exec:      x.executor(cfg, name, ack),
 			Heartbeat: cfg.heartbeat(),
 		}
 		wg.Add(1)
@@ -327,7 +217,7 @@ func (e *Engine) runPlanCoordinated(ctx context.Context, plan *Plan, shard Shard
 	if err := drainOrFail(ctx, q, workersDone, workers); err != nil {
 		return nil, err
 	}
-	return e.assembleCoordinated(plan, shard, selected, q, "in-process", m)
+	return x.assemble(q, "in-process")
 }
 
 // drainOrFail waits for the queue to drain. If every worker exits first
@@ -368,56 +258,31 @@ func drainOrFail(ctx context.Context, q *coordinator.Queue, workersDone <-chan s
 // CoordServer coordinates one plan shard for HTTP workers on other
 // machines: it owns the pull queue, serves the versioned JSON protocol
 // (Handler), and assembles the shard result once the fleet drains the
-// queue (Wait). Build it from the Engine whose observer should stream
-// the sweep's coordination events.
+// queue (Wait).
 type CoordServer struct {
-	eng      *Engine
-	plan     *Plan
-	shard    Shard
-	selected []Unit
-	queue    *coordinator.Queue
-	srv      *coordinator.Server
-	m        *metrics
+	x     *planExec
+	queue *coordinator.Queue
+	srv   *coordinator.Server
 }
 
 // NewCoordServer builds the coordination server for the plan units the
-// shard selects, configured by the engine's WithCoordinator (defaults
-// apply without it).
-func (e *Engine) NewCoordServer(plan *Plan, shard Shard) (*CoordServer, error) {
-	return e.NewCoordServerWith(plan, shard, e.coordConfig(), nil)
-}
-
-// NewCoordServerWith is NewCoordServer under an explicit coordination
-// configuration and an optional per-sweep observer that receives this
-// sweep's events only (the engine-wide observer still sees them too) —
-// the form a multi-sweep host like rmwtso-serve needs, where each hosted
-// fleet carries its own configuration and event stream.
-func (e *Engine) NewCoordServerWith(plan *Plan, shard Shard, cfg CoordinationConfig, obs Observer) (*CoordServer, error) {
-	if err := shard.Validate(); err != nil {
-		return nil, err
-	}
-	selected := plan.Select(shard)
+// shard selects under cfg. A non-nil obs receives this sweep's events
+// only (the engine-wide observer still sees them too), so one host can
+// serve several fleets, each with its own configuration and stream.
+func (e *Engine) NewCoordServer(plan *Plan, shard Shard, cfg CoordinationConfig, obs Observer) (*CoordServer, error) {
 	m := newJobMetrics(&e.metrics)
 	m.obs = obs
 	m.remoteAcks = true
-	m.planned(len(selected))
-	ids := make([]string, len(selected))
-	for i, u := range selected {
-		ids[i] = string(u.ID)
-	}
-	q, err := coordinator.NewQueue(cfg.queueConfig(e.coordObserver(m)), ids)
+	x, err := e.newPlanExec(plan, shard, m)
 	if err != nil {
 		return nil, err
 	}
-	return &CoordServer{
-		eng:      e,
-		plan:     plan,
-		shard:    shard,
-		selected: selected,
-		queue:    q,
-		srv:      coordinator.NewServer(q, plan.Fingerprint()),
-		m:        m,
-	}, nil
+	m.planned(len(x.selected))
+	q, err := x.newQueue(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &CoordServer{x: x, queue: q, srv: coordinator.NewServer(q, plan.Fingerprint())}, nil
 }
 
 // Handler returns the HTTP handler speaking the coordinator protocol.
@@ -428,45 +293,60 @@ func (s *CoordServer) Snapshot() coordinator.Snapshot { return s.queue.Snapshot(
 
 // Metrics snapshots the sweep's progress counters (including the live
 // lease gauge) while the fleet works and after it drains.
-func (s *CoordServer) Metrics() Metrics { return s.m.snapshot() }
+func (s *CoordServer) Metrics() Metrics { return s.x.m.snapshot() }
 
-// Wait blocks until every unit is done or dead-lettered, then assembles
-// the shard result exactly like the in-process mode: a clean sweep
-// returns the result (coordination section attached), dead letters
-// return a *DeadLetterError with the partial result. Worker crashes are
-// recovered through lease expiry; with no worker connected Wait simply
-// keeps waiting (cancel ctx to give up).
+// Wait blocks until every unit is done or dead-lettered, decodes the
+// workers' JSON acks into the result slots, then assembles the shard
+// result exactly like the in-process mode: a clean sweep returns the
+// result (coordination section attached), dead letters return a
+// *DeadLetterError with the partial result. Worker crashes are recovered
+// through lease expiry; with no worker connected Wait simply keeps
+// waiting (cancel ctx to give up).
 func (s *CoordServer) Wait(ctx context.Context) (*ShardResult, error) {
 	if ctx == nil {
-		ctx = s.eng.opts.ctx
+		ctx = s.x.e.opts.ctx
 	}
 	if err := s.queue.Wait(ctx); err != nil {
 		return nil, err
 	}
-	sr, err := s.eng.assembleCoordinated(s.plan, s.shard, s.selected, s.queue, "http", s.m)
+	payloads := s.queue.Payloads()
+	for _, u := range s.x.selected {
+		data, ok := payloads[string(u.ID)]
+		if !ok {
+			continue // dead-lettered; listed in the coordination section
+		}
+		var ur UnitResult
+		if err := json.Unmarshal(data, &ur); err != nil {
+			return nil, fmt.Errorf("rmwtso: unit %s result payload: %w", u.ID, err)
+		}
+		s.x.fill(u.ID, ur)
+	}
+	sr, err := s.x.assemble(s.queue, "http")
 	if sr != nil {
-		s.eng.store.AddShard(sr)
+		s.x.e.store.AddShard(sr)
 	}
 	return sr, err
 }
 
-// RunPlanWorker runs one pull worker against the coordinator at addr
-// ("http://host:port") until that sweep's queue drains: the worker
+// RunPlanWorker runs one pull worker under cfg against the coordinator at
+// addr ("http://host:port") until that sweep's queue drains: the worker
 // rebuilds the identical plan locally (the fingerprint handshake refuses
 // a mismatched one), leases units one at a time, simulates them through
-// the same runUnit path as every other mode, and acks checksummed
+// the same runUnit path as every other mode, and acks checksummed JSON
 // results. It returns nil when the queue drains, ErrInjectedCrash when
 // the fault injector killed the worker, or the transport/handshake
 // error.
-func (e *Engine) RunPlanWorker(ctx context.Context, plan *Plan, addr, name string) error {
+func (e *Engine) RunPlanWorker(ctx context.Context, plan *Plan, addr, name string, cfg CoordinationConfig) error {
 	if ctx == nil {
 		ctx = e.opts.ctx
 	}
 	if name == "" {
 		return fmt.Errorf("rmwtso: coordinated worker needs a name")
 	}
-	cfg := e.coordConfig()
-	cache, err := e.planCache(plan)
+	// The worker does not know which units it will lease, so it selects
+	// the whole plan; that only affects the materialize-vs-stream choice,
+	// never results.
+	x, err := e.newPlanExec(plan, FullShard(), newJobMetrics(&e.metrics))
 	if err != nil {
 		return err
 	}
@@ -474,16 +354,10 @@ func (e *Engine) RunPlanWorker(ctx context.Context, plan *Plan, addr, name strin
 	if err := client.WaitReachable(ctx, 30*time.Second); err != nil {
 		return err
 	}
-	// The worker does not know which units it will lease, so the shard
-	// selection is unknown here; a nil selected set makes groupSource
-	// treat every unit of a group as relevant, which only affects the
-	// materialize-vs-stream choice, never results.
-	pool := newSourcePool(plan, cache, nil)
-	m := newJobMetrics(&e.metrics)
 	w := &coordinator.Worker{
 		Name:      name,
 		Coord:     client,
-		Exec:      e.unitExecutor(plan, pool, cache, cfg, name, m),
+		Exec:      x.executor(cfg, name, func(ur UnitResult) ([]byte, error) { return json.Marshal(ur) }),
 		Heartbeat: cfg.heartbeat(),
 	}
 	return w.Run(ctx)

@@ -32,11 +32,11 @@ func fullGrid() []experiments.BenchmarkSpec {
 }
 
 // submitPlan pushes one plan job through engine.Submit — the service
-// entry point, not the RunPlan convenience wrapper — and reassembles the
-// runs.
-func submitPlan(t *testing.T, eng *engine.Engine, plan *engine.Plan, shard engine.Shard) *engine.ShardResult {
+// entry point, not the RunPlan convenience wrapper — and returns its
+// shard result.
+func submitPlan(t *testing.T, eng *engine.Engine, job engine.Job) *engine.ShardResult {
 	t.Helper()
-	h, err := eng.Submit(nil, engine.Job{Plan: plan, Shard: shard})
+	h, err := eng.Submit(nil, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +51,9 @@ func submitPlan(t *testing.T, eng *engine.Engine, plan *engine.Plan, shard engin
 }
 
 // TestEngineModesDifferential is the engine-vs-legacy differential: the
-// full benchmark grid submitted through engine.Submit in static, sharded
-// and coordinated modes must produce deeply equal runs, and the report
+// full benchmark grid submitted through engine.Submit in static, sharded,
+// coordinated and coordinated-with-Materialize modes must produce deeply
+// equal runs, and the report
 // built from them must encode byte-identically to the blessed goldens in
 // every format. Run with -race in CI; bless intentional result changes
 // with -update.
@@ -67,7 +68,7 @@ func TestEngineModesDifferential(t *testing.T) {
 	}
 
 	// Static: one unsharded plan job.
-	staticRes := submitPlan(t, engine.New(), plan, engine.FullShard())
+	staticRes := submitPlan(t, engine.New(), engine.Job{Plan: plan})
 	staticRuns, err := plan.Runs(staticRes.Units)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +81,7 @@ func TestEngineModesDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shards = append(shards, submitPlan(t, engine.New(), plan, shard))
+		shards = append(shards, submitPlan(t, engine.New(), engine.Job{Plan: plan, Shard: shard}))
 	}
 	mergedRuns, err := engine.MergeShards(plan, shards...)
 	if err != nil {
@@ -88,8 +89,8 @@ func TestEngineModesDifferential(t *testing.T) {
 	}
 
 	// Coordinated: the same grid through the pull queue.
-	coordEng := engine.New(engine.WithCoordinator(engine.CoordinationConfig{Workers: 3}))
-	coordRes := submitPlan(t, coordEng, plan, engine.FullShard())
+	coord := &engine.CoordinationConfig{Workers: 3}
+	coordRes := submitPlan(t, engine.New(), engine.Job{Plan: plan, Coordination: coord})
 	coordRuns, err := plan.Runs(coordRes.Units)
 	if err != nil {
 		t.Fatal(err)
@@ -98,8 +99,22 @@ func TestEngineModesDifferential(t *testing.T) {
 		t.Fatal("coordinated shard result carries no coordination summary")
 	}
 
+	// Coordinated + Materialize: each group's trace is built once per job,
+	// on first lease, and shared by the group's per-type runs.
+	mo := o
+	mo.Materialize = true
+	matPlan, err := engine.BuildPlan(mo, fullGrid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	matRes := submitPlan(t, engine.New(), engine.Job{Plan: matPlan, Coordination: coord})
+	matRuns, err := matPlan.Runs(matRes.Units)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	for name, got := range map[string][]*experiments.BenchmarkRun{
-		"sharded-merged": mergedRuns, "coordinated": coordRuns,
+		"sharded-merged": mergedRuns, "coordinated": coordRuns, "coordinated+materialize": matRuns,
 	} {
 		if !reflect.DeepEqual(got, staticRuns) {
 			t.Errorf("%s runs differ from the static submission", name)

@@ -99,8 +99,8 @@ type SimRun struct {
 	// Unit is the run's stable plan-unit identifier (derived from the
 	// content-addressed cache key), so streamed progress events correlate
 	// with Plan entries without reconstructing the (trace, type, seed)
-	// tuple. It is empty for runs outside the unit model (SweepTraces and
-	// uncacheable SweepSource runs, whose key material is unknown).
+	// tuple. It is empty for uncacheable SweepSource runs, whose key
+	// material is unknown.
 	Unit UnitID
 	// Trace is the name of the simulated trace.
 	Trace string
@@ -122,7 +122,6 @@ type options struct {
 	observer    Observer
 	types       []AtomicityType
 	cache       *simcache.Cache
-	coord       *CoordinationConfig
 }
 
 // Option configures an Engine.

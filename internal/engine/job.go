@@ -11,8 +11,7 @@ import (
 // predicate semantics for both job kinds.
 type Job struct {
 	// Plan runs the simulation units the shard selects, statically or —
-	// when the engine is configured with a coordinator — through the pull
-	// queue.
+	// when Coordination is set — through the pull queue.
 	Plan *Plan
 	// Litmus model-checks a verdict grid: every (test, configured type)
 	// pair the shard selects.
@@ -25,8 +24,8 @@ type Job struct {
 	// Observer needs its own locking; per-job Observers need none.
 	Observer Observer
 	// Coordination, when non-nil, runs a plan job through its own
-	// dynamic pull queue with this configuration, overriding the
-	// engine-level WithCoordinator setting for this job only.
+	// dynamic pull queue with this configuration. Litmus jobs are always
+	// static and reject it.
 	Coordination *CoordinationConfig
 }
 
@@ -88,26 +87,25 @@ func (h *JobHandle) Metrics() Metrics { return h.m.snapshot() }
 // asynchronously on the engine's worker pool; all execution errors —
 // including shard validation — surface through the handle's Wait, and
 // every finished unit streams to the engine's observer as it completes.
-// A malformed job (neither or both of Plan and Litmus) is rejected
-// synchronously.
+// A malformed job (neither or both of Plan and Litmus, or a litmus job
+// with Coordination) is rejected synchronously.
 func (e *Engine) Submit(ctx context.Context, job Job) (*JobHandle, error) {
 	if (job.Plan == nil) == (job.Litmus == nil) {
 		return nil, fmt.Errorf("rmwtso: a job needs exactly one of a plan or a litmus grid")
+	}
+	if job.Litmus != nil && job.Coordination != nil {
+		return nil, fmt.Errorf("rmwtso: litmus jobs are always static; Coordination only applies to plan jobs")
 	}
 	if ctx == nil {
 		ctx = e.opts.ctx
 	}
 	h := &JobHandle{done: make(chan struct{}), m: newJobMetrics(&e.metrics)}
 	h.m.obs = job.Observer
-	coord := e.opts.coord
-	if job.Coordination != nil {
-		coord = job.Coordination
-	}
 	go func() {
 		defer close(h.done)
 		switch {
 		case job.Plan != nil:
-			sr, err := e.runPlanJob(ctx, job.Plan, job.Shard, h.m, coord)
+			sr, err := e.runPlanJob(ctx, job.Plan, job.Shard, h.m, job.Coordination)
 			if sr != nil {
 				e.store.AddShard(sr)
 			}
@@ -118,16 +116,6 @@ func (e *Engine) Submit(ctx context.Context, job Job) (*JobHandle, error) {
 		}
 	}()
 	return h, nil
-}
-
-// runPlanJob dispatches a plan job to the static pool or the coordinated
-// pull queue, whichever the job (Job.Coordination) or the engine
-// (WithCoordinator) selected.
-func (e *Engine) runPlanJob(ctx context.Context, plan *Plan, shard Shard, m *metrics, coord *CoordinationConfig) (*ShardResult, error) {
-	if coord != nil {
-		return e.runPlanCoordinated(ctx, plan, shard, m, *coord)
-	}
-	return e.runPlanStatic(ctx, plan, shard, m)
 }
 
 // RunPlan executes the units of the plan a shard selects and returns

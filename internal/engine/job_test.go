@@ -3,18 +3,33 @@ package engine_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
 	"repro/internal/experiments"
+	"repro/internal/litmus"
 )
 
 // concurrencyOptions builds the quick sweep options of the concurrency
 // tests, varied by seed so distinct jobs own disjoint unit sets.
 func concurrencyOptions(seed int64) experiments.Options {
 	return experiments.Options{Cores: 4, Scale: 0.05, Seed: seed}
+}
+
+// TestSubmitRejectsCoordinatedLitmus pins that litmus jobs are always
+// static: Coordination on one is a malformed job, rejected synchronously
+// instead of silently ignored.
+func TestSubmitRejectsCoordinatedLitmus(t *testing.T) {
+	_, err := engine.New().Submit(nil, engine.Job{
+		Litmus:       &engine.LitmusGrid{Tests: litmus.AllTests()[:1]},
+		Coordination: &engine.CoordinationConfig{},
+	})
+	if err == nil || !strings.Contains(err.Error(), "litmus jobs are always static") {
+		t.Fatalf("want a synchronous rejection, got %v", err)
+	}
 }
 
 // TestWaitCtxAbandonsWaitNotWork pins WaitCtx's contract mid-sweep: a

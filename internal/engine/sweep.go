@@ -1,18 +1,8 @@
 package engine
 
 import (
-	"repro/internal/sim"
 	"repro/internal/simcache"
 )
-
-// SweepTrace simulates one trace under every configured RMW type, one
-// run per work unit. The returned slice is ordered like the configured
-// types. The trace is shared read-only across the pool; this is
-// SweepSource over the trace's own source, since a materialized run is
-// defined as replaying the trace's streams.
-func (e *Engine) SweepTrace(cfg SimConfig, trace *Trace) ([]SimRun, error) {
-	return e.SweepSource(cfg, trace.Source())
-}
 
 // SweepSource simulates one streaming trace source under every configured
 // RMW type, one run per work unit, without ever materializing the trace:
@@ -20,7 +10,8 @@ func (e *Engine) SweepTrace(cfg SimConfig, trace *Trace) ([]SimRun, error) {
 // bounded by the source's window regardless of trace length. The source's
 // Stream method must return independent iterators (Generator.Source and
 // Trace.Source both do), since the per-type runs consume it concurrently.
-// The returned slice is ordered like the configured types.
+// The returned slice is ordered like the configured types; deadlocked
+// runs are returned, not failed.
 func (e *Engine) SweepSource(cfg SimConfig, src TraceSource) ([]SimRun, error) {
 	return e.sweepSource(cfg, src, nil)
 }
@@ -42,12 +33,13 @@ func (e *Engine) SweepSourceCached(cfg SimConfig, src TraceSource, seed int64, s
 	return e.sweepSource(cfg, src, &sweepKeyMeta{seed: seed, scale: scale})
 }
 
-// sweepSource is the shared per-type sweep; meta enables cache lookups.
+// sweepSource runs each configured type through runUnit; meta enables
+// cache lookups.
 func (e *Engine) sweepSource(cfg SimConfig, src TraceSource, meta *sweepKeyMeta) ([]SimRun, error) {
 	types := e.opts.types
-	cache := e.opts.cache
-	if meta == nil {
-		cache = nil
+	var cache *simcache.Cache
+	if meta != nil {
+		cache = e.opts.cache
 	}
 	runs := make([]SimRun, len(types))
 	err := e.runUnits(len(types), func(i int) error {
@@ -55,73 +47,17 @@ func (e *Engine) sweepSource(cfg SimConfig, src TraceSource, meta *sweepKeyMeta)
 		if err := run.Validate(); err != nil {
 			return err
 		}
-		var key simcache.Key
-		var unit UnitID
+		u := Unit{Trace: src.Name(), Type: types[i]}
 		if meta != nil {
 			// The unit identity exists whenever the key material does,
 			// cache or no cache, so observers can correlate events with a
 			// plan built from the same inputs.
-			key = simcache.SimKey(run, src, meta.seed, meta.scale)
-			unit = UnitID(key.UnitID())
+			u.Key = simcache.SimKey(run, src, meta.seed, meta.scale)
+			u.ID = UnitID(u.Key.UnitID())
 		}
-		if cache != nil {
-			// Deadlocked entries are never stored, but a foreign one is
-			// also never served: deadlocks always re-execute.
-			if res, ok := cache.GetSim(key); ok && !res.Deadlocked {
-				runs[i] = SimRun{Unit: unit, Trace: src.Name(), Type: types[i], Result: res, CacheHit: true}
-				e.metrics.unitDone(true)
-				e.emit(Event{Sim: &runs[i]})
-				return nil
-			}
-		}
-		s, err := sim.New(run)
-		if err != nil {
-			return err
-		}
-		res, err := s.RunSource(src)
-		if err != nil {
-			return err
-		}
-		if cache != nil && !res.Deadlocked {
-			_ = cache.PutSim(key, res)
-		}
-		runs[i] = SimRun{Unit: unit, Trace: src.Name(), Type: types[i], Result: res}
-		e.metrics.unitDone(false)
-		e.emit(Event{Sim: &runs[i]})
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return runs, nil
-}
-
-// SweepTraces simulates every (trace, configured type) pair across the
-// pool. The returned slice is ordered (trace, type).
-func (e *Engine) SweepTraces(cfg SimConfig, traces ...*Trace) ([]SimRun, error) {
-	types := e.opts.types
-	type unit struct{ ti, yi int }
-	units := make([]unit, 0, len(traces)*len(types))
-	for ti := range traces {
-		for yi := range types {
-			units = append(units, unit{ti, yi})
-		}
-	}
-	runs := make([]SimRun, len(units))
-	err := e.runUnits(len(units), func(i int) error {
-		u := units[i]
-		s, err := sim.New(cfg.WithRMWType(types[u.yi]))
-		if err != nil {
-			return err
-		}
-		res, err := s.Run(traces[u.ti])
-		if err != nil {
-			return err
-		}
-		runs[i] = SimRun{Trace: traces[u.ti].Name, Type: types[u.yi], Result: res}
-		e.metrics.unitDone(false)
-		e.emit(Event{Sim: &runs[i]})
-		return nil
+		r, err := e.runUnit(cfg, u, src, cache, &e.metrics)
+		runs[i] = r
+		return err
 	})
 	if err != nil {
 		return nil, err

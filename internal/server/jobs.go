@@ -358,7 +358,7 @@ func (s *Server) startJob(j *job, tests []*litmus.Test, coordCfg *engine.Coordin
 		}
 	}
 	if j.mode == "fleet" {
-		coord, err := s.eng.NewCoordServerWith(j.plan, engine.FullShard(), *coordCfg, obs)
+		coord, err := s.eng.NewCoordServer(j.plan, engine.FullShard(), *coordCfg, obs)
 		if err != nil {
 			return err
 		}

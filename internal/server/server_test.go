@@ -508,7 +508,7 @@ func TestFleetModeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	worker := engine.New()
-	if err := worker.RunPlanWorker(context.Background(), plan, ts.URL+"/v1/coord/"+id, "w1"); err != nil {
+	if err := worker.RunPlanWorker(context.Background(), plan, ts.URL+"/v1/coord/"+id, "w1", engine.CoordinationConfig{}); err != nil {
 		t.Fatalf("fleet worker: %v", err)
 	}
 

@@ -2,6 +2,7 @@ package rmwtso_test
 
 import (
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -213,4 +214,54 @@ func TestSimulateSourceCached(t *testing.T) {
 	if _, _, err := rmwtso.SimulateSourceCached(cache, bad, trace.Source(), 1, 1); err == nil {
 		t.Fatalf("invalid config accepted")
 	}
+}
+
+// TestDeadlockPolicy pins the deadlock policy plan jobs and sweeps share:
+// a deadlocked result never counts as a cache hit and is never stored;
+// a plan fails on it naming the unit, while a sweep returns it.
+func TestDeadlockPolicy(t *testing.T) {
+	t.Run("plan fails on a foreign deadlocked entry", func(t *testing.T) {
+		cache, err := rmwtso.OpenCache()
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := rmwtso.BuildPlan(tinyOptions(nil), rmwtso.Table3Specs()[:1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := plan.Units()[0]
+		if err := cache.PutSim(u.Key, &rmwtso.SimResult{Deadlocked: true}); err != nil {
+			t.Fatal(err)
+		}
+		_, err = rmwtso.NewRunner(rmwtso.WithCache(cache)).RunPlan(nil, plan, rmwtso.FullShard())
+		if err == nil || !strings.Contains(err.Error(), string(u.ID)) || !strings.Contains(err.Error(), "deadlocked") {
+			t.Fatalf("want a deadlock error naming unit %s, got %v", u.ID, err)
+		}
+	})
+
+	t.Run("sweep returns naive Fig. 10 deadlocks uncached", func(t *testing.T) {
+		cache, err := rmwtso.OpenCache()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := rmwtso.DefaultSimConfig().WithCores(2)
+		cfg.DisableDeadlockAvoidance = true
+		cfg.MaxCycles = 1_000_000
+		runner := rmwtso.NewRunner(rmwtso.WithCache(cache), rmwtso.WithRMWTypes(rmwtso.Type2, rmwtso.Type3))
+		for pass := 0; pass < 2; pass++ {
+			runs, err := runner.SweepSourceCached(cfg, rmwtso.Fig10Trace(2).Source(), 1, 1)
+			if err != nil {
+				t.Fatalf("pass %d: %v", pass, err)
+			}
+			for _, r := range runs {
+				if !r.Result.Deadlocked || r.CacheHit {
+					t.Errorf("pass %d: %s deadlocked=%v cache hit=%v, want a fresh deadlock",
+						pass, r.Type, r.Result.Deadlocked, r.CacheHit)
+				}
+			}
+		}
+		if st := cache.Stats(); st.Stores != 0 || st.Hits() != 0 || cache.Len() != 0 {
+			t.Fatalf("cache stats %+v with %d entries, want nothing stored or hit", st, cache.Len())
+		}
+	})
 }

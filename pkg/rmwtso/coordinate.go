@@ -37,20 +37,10 @@ type CoordEvent = engine.CoordEvent
 // Fault injection exists for tests, demos and CI crash drills.
 type FaultInjector = engine.FaultInjector
 
-// CoordinationConfig tunes a coordinated sweep (WithCoordinator). The
-// zero value picks the noted defaults.
+// CoordinationConfig tunes a coordinated sweep: a plan Job that sets
+// Coordination, a CoordServer or a RunPlanWorker. The zero value picks
+// the noted defaults.
 type CoordinationConfig = engine.CoordinationConfig
-
-// WithCoordinator switches the Runner's RunPlan to dynamic coordination:
-// instead of the static per-worker split, the shard's units go into a
-// pull queue and workers lease them one at a time under heartbeat-kept
-// leases — a crashed worker's unit is requeued on lease expiry, a
-// repeatedly failing unit is retried with backoff and then dead-lettered
-// (RunPlan returns a *DeadLetterError carrying the partial results), and
-// the completed sweep's results are byte-identical to a static run's.
-// The same configuration drives the HTTP mode (NewCoordServer,
-// RunPlanWorker) for fleets that span machines.
-func WithCoordinator(cfg CoordinationConfig) Option { return engine.WithCoordinator(cfg) }
 
 // DeadLetterError reports a coordinated sweep that completed with
 // dead-lettered units: every other unit finished (the queue drained),
@@ -69,20 +59,19 @@ type DeadLetterError = engine.DeadLetterError
 type CoordServer = engine.CoordServer
 
 // NewCoordServer builds the coordination server for the plan units the
-// shard selects, configured by the Runner's WithCoordinator (defaults
-// apply without it).
-func (r *Runner) NewCoordServer(plan *Plan, shard Shard) (*CoordServer, error) {
-	return r.eng.NewCoordServer(plan, shard)
+// shard selects under cfg. A non-nil obs receives this sweep's events
+// only; the Runner's observer still sees them too.
+func (r *Runner) NewCoordServer(plan *Plan, shard Shard, cfg CoordinationConfig, obs Observer) (*CoordServer, error) {
+	return r.eng.NewCoordServer(plan, shard, cfg, obs)
 }
 
-// RunPlanWorker runs one pull worker against the coordinator at addr
+// RunPlanWorker runs one pull worker under cfg against the coordinator at addr
 // ("http://host:port") until that sweep's queue drains: the worker
 // rebuilds the identical plan locally (the fingerprint handshake refuses
 // a mismatched one), leases units one at a time, simulates them through
-// the same runUnit path as every other mode, and acks checksummed
-// results. It returns nil when the queue drains, ErrInjectedCrash when
+// the same path as every other mode, and acks checksummed results. It returns nil when the queue drains, ErrInjectedCrash when
 // the fault injector killed the worker, or the transport/handshake
 // error.
-func (r *Runner) RunPlanWorker(ctx context.Context, plan *Plan, addr, name string) error {
-	return r.eng.RunPlanWorker(ctx, plan, addr, name)
+func (r *Runner) RunPlanWorker(ctx context.Context, plan *Plan, addr, name string, cfg CoordinationConfig) error {
+	return r.eng.RunPlanWorker(ctx, plan, addr, name, cfg)
 }

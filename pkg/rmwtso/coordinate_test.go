@@ -30,6 +30,20 @@ func coordConfig() rmwtso.CoordinationConfig {
 	}
 }
 
+// runCoordinated runs the whole plan as one job through its own lease
+// queue under cfg.
+func runCoordinated(r *rmwtso.Runner, plan *rmwtso.Plan, cfg rmwtso.CoordinationConfig) (*rmwtso.ShardResult, error) {
+	h, err := r.Submit(nil, rmwtso.Job{Plan: plan, Coordination: &cfg})
+	if err != nil {
+		return nil, err
+	}
+	res, err := h.Wait()
+	if err != nil {
+		return nil, err
+	}
+	return res.Shard, nil
+}
+
 // staticBaseline runs the plan unsharded on the static pool and returns
 // the expected runs, report and encodings.
 func staticBaseline(t *testing.T, o rmwtso.Options, plan *rmwtso.Plan) ([]*rmwtso.BenchmarkRun, *rmwtso.Report, map[string][]byte) {
@@ -118,7 +132,6 @@ func TestCoordinatedSweepByteIdentical(t *testing.T) {
 	var mu sync.Mutex
 	kinds := map[string]int{}
 	runner := rmwtso.NewRunner(
-		rmwtso.WithCoordinator(cfg),
 		rmwtso.WithObserver(func(e rmwtso.Event) {
 			if e.Coord != nil {
 				mu.Lock()
@@ -127,7 +140,7 @@ func TestCoordinatedSweepByteIdentical(t *testing.T) {
 			}
 		}),
 	)
-	res, err := runner.RunPlan(nil, plan, rmwtso.FullShard())
+	res, err := runCoordinated(runner, plan, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +179,7 @@ func TestCoordinatedPoisonDeadLetters(t *testing.T) {
 		}
 		return nil
 	}
-	runner := rmwtso.NewRunner(rmwtso.WithCoordinator(cfg))
-	_, err = runner.RunPlan(nil, plan, rmwtso.FullShard())
+	_, err = runCoordinated(rmwtso.NewRunner(), plan, cfg)
 	var dle *rmwtso.DeadLetterError
 	if !errors.As(err, &dle) {
 		t.Fatalf("want *DeadLetterError, got %v", err)
@@ -236,8 +248,7 @@ func TestCoordinatedSweepAllWorkersCrash(t *testing.T) {
 	cfg.FaultInjector = func(string, rmwtso.Unit, int) error {
 		return rmwtso.ErrInjectedCrash
 	}
-	runner := rmwtso.NewRunner(rmwtso.WithCoordinator(cfg))
-	_, err = runner.RunPlan(nil, plan, rmwtso.FullShard())
+	_, err = runCoordinated(rmwtso.NewRunner(), plan, cfg)
 	if err == nil || !strings.Contains(err.Error(), "workers crashed") {
 		t.Fatalf("want all-workers-crashed error, got %v", err)
 	}
@@ -255,7 +266,7 @@ func TestCoordinatedHTTPSweep(t *testing.T) {
 	}
 	wantRuns, _, wantBytes := staticBaseline(t, o, plan)
 
-	server, err := rmwtso.NewRunner(rmwtso.WithCoordinator(coordConfig())).NewCoordServer(plan, rmwtso.FullShard())
+	server, err := rmwtso.NewRunner().NewCoordServer(plan, rmwtso.FullShard(), coordConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,12 +285,12 @@ func TestCoordinatedHTTPSweep(t *testing.T) {
 				return nil
 			}
 		}
-		worker := rmwtso.NewRunner(rmwtso.WithCoordinator(cfg))
+		worker := rmwtso.NewRunner()
 		name := fmt.Sprintf("http-worker-%d", i)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			err := worker.RunPlanWorker(nil, plan, hs.URL, name)
+			err := worker.RunPlanWorker(nil, plan, hs.URL, name, cfg)
 			if i == 2 {
 				if !errors.Is(err, rmwtso.ErrInjectedCrash) {
 					t.Errorf("crashing worker exit: %v", err)

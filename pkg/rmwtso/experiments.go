@@ -133,17 +133,3 @@ func AggregateSeeds(runs []*BenchmarkRun) []SeedAggregate { return experiments.A
 func RenderSeedAggregates(aggs []SeedAggregate) string {
 	return experiments.RenderSeedAggregates(aggs)
 }
-
-// RunTable3Benchmarks simulates the Table 3 benchmark set across the
-// worker pool. The result feeds Table 3 and Fig. 11(a)/(b); note the
-// table and figure renderers expect all three types, so restrict
-// WithRMWTypes only for ad-hoc sweeps.
-func (r *Runner) RunTable3Benchmarks(o Options) ([]*BenchmarkRun, error) {
-	return r.RunBenchmarks(o, Table3Specs())
-}
-
-// RunCpp11Benchmarks simulates the wsq-mst C/C++11 variants of
-// Cpp11Specs across the pool.
-func (r *Runner) RunCpp11Benchmarks(o Options) ([]*BenchmarkRun, error) {
-	return r.RunBenchmarks(o, Cpp11Specs())
-}

@@ -13,7 +13,7 @@
 //     simulator and its trace/workload generators (Simulate, Generator,
 //     Fig10Trace);
 //   - the evaluation layer: the paper's tables and figures
-//     (Runner.RunTable3Benchmarks, RenderTable1, ...).
+//     (Runner.RunBenchmarks with Table3Specs, RenderTable1, ...).
 //
 // Work is driven through a Runner configured with functional options:
 //
@@ -22,7 +22,7 @@
 //		rmwtso.WithParallelism(8),
 //		rmwtso.WithObserver(func(e rmwtso.Event) { ... }),
 //	)
-//	results, err := r.CheckSuite()
+//	results, err := r.CheckTests(rmwtso.Suite().Tests()...)
 //
 // The Runner fans work units (one litmus verdict, one mapping validation,
 // one simulator run) across a goroutine pool, streams every finished unit

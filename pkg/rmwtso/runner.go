@@ -55,7 +55,7 @@ func WithObserver(fn Observer) Option { return engine.WithObserver(fn) }
 func WithEnumWorkers(n int) Option { return engine.WithEnumWorkers(n) }
 
 // WithCache makes the Runner consult (and fill) a content-addressed
-// result cache: litmus verdicts in CheckTests/CheckSuite, and simulator
+// result cache: litmus verdicts in CheckTests, and simulator
 // runs in RunBenchmarks and the Cached sweep variants. Hits skip the
 // computation entirely and are flagged on the streamed event (SimRun and
 // TestResult carry a CacheHit field); results are identical either way.
@@ -123,8 +123,8 @@ func (r *Runner) Types() []AtomicityType { return r.eng.Types() }
 // it. A nil ctx uses the Runner's context (WithContext). The job executes
 // asynchronously; all execution errors surface through the handle's Wait,
 // and every finished unit streams to the observer as it completes. A
-// malformed job (neither or both of Plan and Litmus) is rejected
-// synchronously.
+// malformed job (neither or both of Plan and Litmus, or a litmus job
+// with Coordination) is rejected synchronously.
 func (r *Runner) Submit(ctx context.Context, job Job) (*JobHandle, error) {
 	return r.eng.Submit(ctx, job)
 }
@@ -157,26 +157,11 @@ func (r *Runner) CheckTestsSharded(shard Shard, tests ...*Test) ([]TestResult, e
 	return r.eng.CheckTestsSharded(shard, tests...)
 }
 
-// CheckSuite model-checks the full registered litmus suite; shorthand for
-// CheckTests over Suite().Tests().
-func (r *Runner) CheckSuite() ([]TestResult, error) {
-	return r.CheckTests(Suite().Tests()...)
-}
-
 // ValidateMappings validates every Table 4 mapping under every configured
 // RMW type for each program. Each (program, mapping, type) combination is
 // one work unit; the returned slice is ordered (program, mapping, type).
 func (r *Runner) ValidateMappings(programs ...*Cpp11Program) ([]MappingResult, error) {
 	return r.eng.ValidateMappings(programs...)
-}
-
-// SweepTrace simulates one trace under every configured RMW type, one
-// run per work unit. The returned slice is ordered like the configured
-// types. The trace is shared read-only across the pool; this is
-// SweepSource over the trace's own source, since a materialized run is
-// defined as replaying the trace's streams.
-func (r *Runner) SweepTrace(cfg SimConfig, trace *Trace) ([]SimRun, error) {
-	return r.eng.SweepTrace(cfg, trace)
 }
 
 // SweepSource simulates one streaming trace source under every configured
@@ -185,7 +170,8 @@ func (r *Runner) SweepTrace(cfg SimConfig, trace *Trace) ([]SimRun, error) {
 // bounded by the source's window regardless of trace length. The source's
 // Stream method must return independent iterators (Generator.Source and
 // Trace.Source both do), since the per-type runs consume it concurrently.
-// The returned slice is ordered like the configured types.
+// The returned slice is ordered like the configured types; deadlocked
+// runs are returned, not failed.
 func (r *Runner) SweepSource(cfg SimConfig, src TraceSource) ([]SimRun, error) {
 	return r.eng.SweepSource(cfg, src)
 }
@@ -198,10 +184,4 @@ func (r *Runner) SweepSource(cfg SimConfig, src TraceSource) ([]SimRun, error) {
 // SweepSource.
 func (r *Runner) SweepSourceCached(cfg SimConfig, src TraceSource, seed int64, scale float64) ([]SimRun, error) {
 	return r.eng.SweepSourceCached(cfg, src, seed, scale)
-}
-
-// SweepTraces simulates every (trace, configured type) pair across the
-// pool. The returned slice is ordered (trace, type).
-func (r *Runner) SweepTraces(cfg SimConfig, traces ...*Trace) ([]SimRun, error) {
-	return r.eng.SweepTraces(cfg, traces...)
 }
