@@ -116,9 +116,12 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	// Every set is a window of one backing array, so building a cache
+	// costs two allocations regardless of its size.
 	sets := make([][]Line, cfg.Sets())
+	lines := make([]Line, len(sets)*cfg.Assoc)
 	for i := range sets {
-		sets[i] = make([]Line, cfg.Assoc)
+		sets[i] = lines[i*cfg.Assoc : (i+1)*cfg.Assoc : (i+1)*cfg.Assoc]
 	}
 	return &Cache{cfg: cfg, sets: sets}
 }

@@ -20,19 +20,25 @@ func newTestDirectory(cores int) *Directory {
 	return New(m, caches, paperLatencies())
 }
 
-// access runs a request synchronously and returns its completion time.
+// access runs a request that must complete synchronously and returns its
+// completion time.
 func access(t *testing.T, d *Directory, core int, line uint64, kind ReqKind, start uint64) uint64 {
 	t.Helper()
-	var done uint64
-	called := false
-	d.Access(core, line, kind, start, func(at uint64) {
-		done = at
-		called = true
-	})
-	if !called {
+	done, ok := d.Access(core, line, kind, start, 0)
+	if !ok {
 		t.Fatalf("request %v core=%d line=%#x did not complete synchronously", kind, core, line)
 	}
 	return done
+}
+
+// resumed records the completions the directory reports through its
+// resume hook, keyed by tag.
+type resumed map[uint64]uint64
+
+func recordResumes(d *Directory) resumed {
+	r := resumed{}
+	d.OnResume(func(core int, tag, at uint64) { r[tag] = at })
+	return r
 }
 
 func TestNewPanicsOnMismatchedCaches(t *testing.T) {
@@ -87,12 +93,15 @@ func TestGetMInvalidatesSharers(t *testing.T) {
 	if len(d.Sharers(0x100)) != 3 {
 		t.Fatalf("sharers = %v, want 3 cores", d.Sharers(0x100))
 	}
+	if got := d.Sharers(0x100); len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
+		t.Fatalf("sharers = %v, want [0 1 2] in ascending core order", got)
+	}
 	access(t, d, 3, 0x100, GetM, 2000)
 	if d.Owner(0x100) != 3 {
 		t.Errorf("owner = %d, want 3", d.Owner(0x100))
 	}
-	if len(d.Sharers(0x100)) != 1 {
-		t.Errorf("sharers after GetM = %v, want only the new owner", d.Sharers(0x100))
+	if got := d.Sharers(0x100); len(got) != 1 || got[0] != 3 {
+		t.Errorf("sharers after GetM = %v, want only the new owner", got)
 	}
 	for c := 0; c < 3; c++ {
 		if d.Cache(c).Peek(0x100) != cache.Invalid {
@@ -154,20 +163,17 @@ func TestGetSFromRemoteOwnerLeavesOwnerInOwned(t *testing.T) {
 
 func TestLockDeniesOtherCoresUntilUnlock(t *testing.T) {
 	d := newTestDirectory(4)
+	r := recordResumes(d)
 	// Core 0 acquires and locks the line.
-	var lockDone uint64
-	d.AccessAndLock(0, 0x200, GetM, 0, func(at uint64) { lockDone = at })
+	lockDone, ok := d.AccessAndLock(0, 0x200, GetM, 0, 0)
+	if !ok {
+		t.Fatal("locking an unlocked line must complete synchronously")
+	}
 	if locked, owner := d.IsLocked(0x200); !locked || owner != 0 {
 		t.Fatalf("line not locked by core 0 (locked=%v owner=%d)", locked, owner)
 	}
 	// Core 1's request is denied and parks.
-	var core1Done uint64
-	completed := false
-	d.Access(1, 0x200, GetM, lockDone+10, func(at uint64) {
-		core1Done = at
-		completed = true
-	})
-	if completed {
+	if _, ok := d.Access(1, 0x200, GetM, lockDone+10, 7); ok {
 		t.Fatal("request to a locked line must not complete before unlock")
 	}
 	if d.Stats().LockDenials != 1 {
@@ -177,6 +183,7 @@ func TestLockDeniesOtherCoresUntilUnlock(t *testing.T) {
 	// after the unlock.
 	unlockAt := lockDone + 500
 	d.Unlock(0x200, 0, unlockAt)
+	core1Done, completed := r[7]
 	if !completed {
 		t.Fatal("parked request did not resume on unlock")
 	}
@@ -193,7 +200,7 @@ func TestLockDeniesOtherCoresUntilUnlock(t *testing.T) {
 
 func TestLockOwnerCanStillAccess(t *testing.T) {
 	d := newTestDirectory(2)
-	d.AccessAndLock(0, 0x240, GetM, 0, func(uint64) {})
+	d.AccessAndLock(0, 0x240, GetM, 0, 0)
 	// The lock owner's own requests proceed (e.g. the RMW's write half).
 	done := access(t, d, 0, 0x240, GetM, 100)
 	if done != 100+paperLatencies().L1 {
@@ -203,17 +210,16 @@ func TestLockOwnerCanStillAccess(t *testing.T) {
 
 func TestTwoRMWsOnSameLineSerialize(t *testing.T) {
 	d := newTestDirectory(2)
-	var firstDone, secondDone uint64
-	d.AccessAndLock(0, 0x280, GetM, 0, func(at uint64) { firstDone = at })
-	second := false
-	d.AccessAndLock(1, 0x280, GetM, 0, func(at uint64) {
-		secondDone = at
-		second = true
-	})
-	if second {
+	r := recordResumes(d)
+	firstDone, ok := d.AccessAndLock(0, 0x280, GetM, 0, 1)
+	if !ok {
+		t.Fatal("first RMW must lock the free line")
+	}
+	if _, ok := d.AccessAndLock(1, 0x280, GetM, 0, 2); ok {
 		t.Fatal("second RMW must wait for the first lock")
 	}
 	d.Unlock(0x280, 0, firstDone+50)
+	secondDone, second := r[2]
 	if !second {
 		t.Fatal("second RMW did not resume")
 	}
@@ -223,6 +229,44 @@ func TestTwoRMWsOnSameLineSerialize(t *testing.T) {
 	// It must also have locked the line for itself.
 	if locked, owner := d.IsLocked(0x280); !locked || owner != 1 {
 		t.Errorf("line should now be locked by core 1 (locked=%v owner=%d)", locked, owner)
+	}
+}
+
+// TestUnlockResumesInArrivalOrder parks a notification and two lock
+// requests from different cores on one lock: on unlock the notification
+// fires at the unlock cycle, the first lock request takes the line, and
+// the second parks again on that new lock.
+func TestUnlockResumesInArrivalOrder(t *testing.T) {
+	d := newTestDirectory(4)
+	r := recordResumes(d)
+	done, _ := d.AccessAndLock(0, 0x300, GetM, 0, 0)
+	if !d.WaitForUnlock(0x300, 1, 10) {
+		t.Fatal("WaitForUnlock must park behind another core's lock")
+	}
+	if d.WaitForUnlock(0x300, 0, 99) {
+		t.Fatal("the lock owner must not wait for its own lock")
+	}
+	d.AccessAndLock(2, 0x300, GetM, 0, 20)
+	d.AccessAndLock(3, 0x300, GetM, 0, 30)
+	d.Unlock(0x300, 0, done+100)
+	if r[10] != done+100 {
+		t.Errorf("notification at %d, want the unlock cycle %d", r[10], done+100)
+	}
+	if _, ok := r[20]; !ok {
+		t.Fatal("first parked lock request did not complete")
+	}
+	if _, ok := r[30]; ok {
+		t.Fatal("second parked lock request must wait for the first one's lock")
+	}
+	if locked, owner := d.IsLocked(0x300); !locked || owner != 2 {
+		t.Fatalf("line should be locked by core 2 (locked=%v owner=%d)", locked, owner)
+	}
+	if got := d.Stats().LockDenials; got != 4 {
+		t.Errorf("LockDenials = %d, want 4 (three parks plus one re-park)", got)
+	}
+	d.Unlock(0x300, 2, r[20]+10)
+	if _, ok := r[30]; !ok {
+		t.Fatal("re-parked request did not complete on the second unlock")
 	}
 }
 
@@ -300,5 +344,38 @@ func TestReqKindString(t *testing.T) {
 	}
 	if ReqKind(9).String() == "" {
 		t.Error("unknown kind should render")
+	}
+}
+
+// TestSharersBeyondOneWord covers cores past the first 64-bit sharer word:
+// sharers come back in ascending order and a GetM invalidates them all.
+func TestSharersBeyondOneWord(t *testing.T) {
+	d := newTestDirectory(130)
+	readers := []int{129, 3, 64, 0, 127}
+	for _, c := range readers {
+		access(t, d, c, 0x340, GetS, 0)
+	}
+	want := []int{0, 3, 64, 127, 129}
+	got := d.Sharers(0x340)
+	if len(got) != len(want) {
+		t.Fatalf("sharers = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("sharers = %v, want %v", got, want)
+		}
+	}
+	before := d.Stats().Invalidations
+	access(t, d, 65, 0x340, GetM, 1000)
+	if got := d.Sharers(0x340); len(got) != 1 || got[0] != 65 {
+		t.Errorf("sharers after GetM = %v, want [65]", got)
+	}
+	if n := d.Stats().Invalidations - before; n != uint64(len(readers)) {
+		t.Errorf("GetM invalidated %d sharers, want %d", n, len(readers))
+	}
+	for _, c := range readers {
+		if d.Cache(c).Peek(0x340) != cache.Invalid {
+			t.Errorf("core %d still holds the line after invalidation", c)
+		}
 	}
 }

@@ -21,48 +21,45 @@
 // overhead of Fig. 11(b) is derived from the same runs.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
-// event is one scheduled callback.
-type event struct {
-	at  uint64
+// Event is one scheduled continuation: at cycle At, the handler passed to
+// Engine.Run resumes core Core with continuation tag Tag. The engine
+// orders events and never interprets Core or Tag, so an event is a plain
+// 32-byte value and scheduling one allocates nothing once the queue has
+// grown to its working depth.
+type Event struct {
+	// At is the cycle the event fires.
+	At uint64
+	// Core is the core whose continuation runs.
+	Core int
+	// Tag names the continuation (and its argument) for the handler.
+	Tag uint64
+	// seq is the scheduling order, the tie break between events of the
+	// same cycle.
 	seq uint64
-	fn  func()
 }
 
-// eventHeap orders events by time, breaking ties by scheduling order so the
-// simulation is deterministic.
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before reports whether a fires before b: earlier cycle first, then
+// earlier scheduling order, so runs are deterministic.
+func (a *Event) before(b *Event) bool {
+	if a.At != b.At {
+		return a.At < b.At
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+	return a.seq < b.seq
 }
 
 // Engine is a deterministic discrete-event simulation engine driven by a
-// cycle counter.
+// cycle counter. Its queue is a binary min-heap of Event values ordered by
+// (At, seq).
 type Engine struct {
 	now    uint64
 	seq    uint64
-	events eventHeap
-	// executed counts processed events, a cheap progress metric.
+	events []Event
+	// executed counts processed events, a cheap progress metric; peak is
+	// the deepest the queue has been.
 	executed uint64
+	peak     int
 }
 
 // NewEngine returns an engine at cycle 0.
@@ -77,35 +74,79 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // Pending returns the number of scheduled-but-not-yet-run events.
 func (e *Engine) Pending() int { return len(e.events) }
 
-// Schedule runs fn at the given cycle. Scheduling in the past (before the
+// PeakPending returns the largest number of events ever pending at once.
+func (e *Engine) PeakPending() int { return e.peak }
+
+// Schedule queues ev to fire at ev.At. Scheduling in the past (before the
 // current cycle) is a modelling bug and panics.
-func (e *Engine) Schedule(at uint64, fn func()) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at cycle %d before current cycle %d", at, e.now))
+func (e *Engine) Schedule(ev Event) {
+	if ev.At < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at cycle %d before current cycle %d", ev.At, e.now))
 	}
-	heap.Push(&e.events, &event{at: at, seq: e.seq, fn: fn})
+	ev.seq = e.seq
 	e.seq++
-}
-
-// After schedules fn delay cycles from now.
-func (e *Engine) After(delay uint64, fn func()) {
-	e.Schedule(e.now+delay, fn)
-}
-
-// Run processes events until the queue is empty or the cycle limit is
-// exceeded. It returns an error if the limit was hit, which usually means
-// the simulated system livelocked.
-func (e *Engine) Run(limit uint64) error {
-	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*event)
-		if ev.at > limit {
-			// Put it back so callers can inspect the state.
-			heap.Push(&e.events, ev)
-			return fmt.Errorf("sim: cycle limit %d exceeded at cycle %d", limit, ev.at)
+	h := append(e.events, ev)
+	e.events = h
+	if len(h) > e.peak {
+		e.peak = len(h)
+	}
+	// Sift the hole at the tail up to the new event's place.
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&h[parent]) {
+			break
 		}
-		e.now = ev.at
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+}
+
+// pop removes and returns the earliest event.
+func (e *Engine) pop() Event {
+	h := e.events
+	top := h[0]
+	last := len(h) - 1
+	moved := h[last]
+	h = h[:last]
+	e.events = h
+	if last == 0 {
+		return top
+	}
+	// Sift the hole at the root down to the moved event's place.
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= last {
+			break
+		}
+		if r := child + 1; r < last && h[r].before(&h[child]) {
+			child = r
+		}
+		if !h[child].before(&moved) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = moved
+	return top
+}
+
+// Run hands events to handle in (At, scheduling order) until the queue is
+// empty or the next event lies beyond the cycle limit. It returns an error
+// if the limit was hit, which usually means the simulated system
+// livelocked; the event that exceeded it stays pending.
+func (e *Engine) Run(limit uint64, handle func(Event)) error {
+	for len(e.events) > 0 {
+		if at := e.events[0].At; at > limit {
+			return fmt.Errorf("sim: cycle limit %d exceeded at cycle %d", limit, at)
+		}
+		ev := e.pop()
+		e.now = ev.At
 		e.executed++
-		ev.fn()
+		handle(ev)
 	}
 	return nil
 }

@@ -1,16 +1,22 @@
 package sim
 
 import (
+	"sort"
 	"testing"
 )
 
+// record returns a handler that appends each event's Tag to order.
+func record(order *[]uint64) func(Event) {
+	return func(ev Event) { *order = append(*order, ev.Tag) }
+}
+
 func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 	e := NewEngine()
-	var order []int
-	e.Schedule(10, func() { order = append(order, 2) })
-	e.Schedule(5, func() { order = append(order, 1) })
-	e.Schedule(20, func() { order = append(order, 3) })
-	if err := e.Run(100); err != nil {
+	var order []uint64
+	e.Schedule(Event{At: 10, Tag: 2})
+	e.Schedule(Event{At: 5, Tag: 1})
+	e.Schedule(Event{At: 20, Tag: 3})
+	if err := e.Run(100, record(&order)); err != nil {
 		t.Fatal(err)
 	}
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
@@ -25,21 +31,71 @@ func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 	if e.Pending() != 0 {
 		t.Errorf("Pending = %d, want 0", e.Pending())
 	}
+	if e.PeakPending() != 3 {
+		t.Errorf("PeakPending = %d, want 3", e.PeakPending())
+	}
 }
 
 func TestEngineTiesBreakByScheduleOrder(t *testing.T) {
 	e := NewEngine()
-	var order []int
+	var order []uint64
 	for i := 0; i < 5; i++ {
-		i := i
-		e.Schedule(7, func() { order = append(order, i) })
+		e.Schedule(Event{At: 7, Tag: uint64(i)})
 	}
-	if err := e.Run(100); err != nil {
+	if err := e.Run(100, record(&order)); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range order {
-		if v != i {
+		if v != uint64(i) {
 			t.Fatalf("tie-breaking not FIFO: %v", order)
+		}
+	}
+}
+
+// TestEngineMatchesSortedOrder schedules pseudo-random cycles with many
+// ties, some from inside handlers, and checks the heap yields exactly the
+// (cycle, scheduling order) sort.
+func TestEngineMatchesSortedOrder(t *testing.T) {
+	e := NewEngine()
+	type key struct{ at, seq uint64 }
+	var want []key
+	seq := uint64(0)
+	x := uint64(12345)
+	next := func() uint64 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return x
+	}
+	schedule := func(at uint64) {
+		e.Schedule(Event{At: at, Tag: seq})
+		want = append(want, key{at, seq})
+		seq++
+	}
+	for i := 0; i < 300; i++ {
+		schedule(next() % 50)
+	}
+	var got []key
+	if err := e.Run(1<<20, func(ev Event) {
+		got = append(got, key{ev.At, ev.Tag})
+		if len(got)%3 == 0 && len(want) < 600 {
+			schedule(ev.At + next()%20)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].at != want[j].at {
+			return want[i].at < want[j].at
+		}
+		return want[i].seq < want[j].seq
+	})
+	if len(got) != len(want) {
+		t.Fatalf("ran %d events, scheduled %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }
@@ -47,15 +103,14 @@ func TestEngineTiesBreakByScheduleOrder(t *testing.T) {
 func TestEngineEventsCanScheduleMoreEvents(t *testing.T) {
 	e := NewEngine()
 	count := 0
-	var tick func()
-	tick = func() {
+	e.Schedule(Event{At: 0})
+	err := e.Run(1000, func(ev Event) {
 		count++
 		if count < 10 {
-			e.After(3, tick)
+			e.Schedule(Event{At: e.Now() + 3})
 		}
-	}
-	e.Schedule(0, tick)
-	if err := e.Run(1000); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if count != 10 {
@@ -64,14 +119,16 @@ func TestEngineEventsCanScheduleMoreEvents(t *testing.T) {
 	if e.Now() != 27 {
 		t.Errorf("Now = %d, want 27", e.Now())
 	}
+	if e.PeakPending() != 1 {
+		t.Errorf("PeakPending = %d, want 1", e.PeakPending())
+	}
 }
 
 func TestEngineCycleLimit(t *testing.T) {
 	e := NewEngine()
-	var tick func()
-	tick = func() { e.After(10, tick) }
-	e.Schedule(0, tick)
-	if err := e.Run(55); err == nil {
+	e.Schedule(Event{At: 0})
+	err := e.Run(55, func(ev Event) { e.Schedule(Event{At: e.Now() + 10}) })
+	if err == nil {
 		t.Fatal("exceeding the cycle limit must return an error")
 	}
 	if e.Pending() == 0 {
@@ -81,22 +138,23 @@ func TestEngineCycleLimit(t *testing.T) {
 
 func TestEngineSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func() {
+	e.Schedule(Event{At: 10})
+	err := e.Run(100, func(ev Event) {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling before Now should panic")
 			}
 		}()
-		e.Schedule(5, func() {})
+		e.Schedule(Event{At: 5})
 	})
-	if err := e.Run(100); err != nil {
+	if err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestEngineRunEmptyQueue(t *testing.T) {
 	e := NewEngine()
-	if err := e.Run(10); err != nil {
+	if err := e.Run(10, func(Event) {}); err != nil {
 		t.Fatal("running an empty engine should succeed")
 	}
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+
 	"repro/internal/bloom"
 	"repro/internal/core"
 	"repro/internal/sim/directory"
@@ -8,13 +10,72 @@ import (
 	"repro/internal/sim/writebuffer"
 )
 
+// cont names a processor continuation: what the core does next at a given
+// cycle. A continuation runs when its engine event fires, when the
+// directory resumes a request parked on a locked line, when a forced drain
+// empties the write buffer, or when a stalled store gets a buffer slot.
+// Continuations carry at most one argument (a write-buffer entry ID); the
+// context of the in-flight instruction lives in the processor's fields.
+type cont uint8
+
+const (
+	contNone cont = iota
+	// contStep pulls and executes the next trace operation.
+	contStep
+	// contReadDone: a load's GetS completed.
+	contReadDone
+	// contWriteRetired: a store retired into the write buffer.
+	contWriteRetired
+	// contFenceDrained: a fence's forced drain emptied the buffer.
+	contFenceDrained
+	// contRMWDrained: the forced drain of a type-1 (or reverted weak) RMW
+	// emptied the buffer; request and lock the line.
+	contRMWDrained
+	// contRMWLocked: that RMW owns and has locked its line.
+	contRMWLocked
+	// contRMWUnlock: that RMW's write performed; unlock and retire.
+	contRMWUnlock
+	// contWeakLocked: a weak RMW's read half holds and has locked its
+	// line.
+	contWeakLocked
+	// contWeakPush: retire that RMW's write half into the write buffer.
+	contWeakPush
+	// contWeakRetired: the write half is in the buffer; the RMW retires.
+	contWeakRetired
+	// contEntryOwned: ownership for write-buffer entry arg arrived.
+	contEntryOwned
+	// contEntryReady: mark entry arg ready and drain the buffer head.
+	contEntryReady
+	// contEntryUnlocked: the line that blocked head entry arg was
+	// unlocked.
+	contEntryUnlocked
+	// contEntryRetry: entry arg re-requests ownership after the unlock.
+	contEntryRetry
+)
+
+// tagBits is how far a continuation tag shifts the argument past the
+// continuation kind. Tags are the one currency of waiting: engine events
+// and parked directory requests both carry them.
+const tagBits = 8
+
+// tag packs continuation c and its argument.
+func tag(c cont, arg uint64) uint64 { return uint64(c) | arg<<tagBits }
+
 // processor is one simulated in-order core: it pulls operations from its
 // stream, talks to the directory for loads and RMWs, retires stores into
 // its write buffer and runs the background drain of that buffer. The
 // stream is consumed one op at a time, so the processor's memory footprint
-// is independent of trace length; all continuations that advance the
-// instruction stream go through the engine so that arbitrarily long traces
-// never build up call-stack depth either.
+// is independent of trace length.
+//
+// Every wait is a continuation (cont) rather than a closure. The engine
+// queues (cycle, core, tag) values and the directory parks denied
+// requests as records carrying a tag, where a tag packs the continuation
+// and its argument. The forced-drain and buffer-slot waits are single
+// fields, because an in-order core has at most one instruction in flight. The instruction's context (start cycle,
+// line, drain and lock cycles, broadcast and revert flags) lives in
+// fields too, so the steady state allocates nothing per operation. Events
+// that advance the instruction stream go through the engine, so
+// arbitrarily long traces never build up call-stack depth either.
 type processor struct {
 	id     int
 	cfg    Config
@@ -32,13 +93,30 @@ type processor struct {
 	// noteRMWLine lets the simulator track globally-unique RMW lines.
 	noteRMWLine func(line uint64)
 
-	// slotWaiters are continuations waiting for write-buffer space;
-	// emptyWaiters are forced drains waiting for the buffer to empty.
-	slotWaiters  []func(at uint64)
-	emptyWaiters []func(at uint64)
-	// forcedDrain marks an active forced drain, which (with ParallelDrain)
-	// makes the drainer issue every pending entry concurrently.
-	forcedDrain bool
+	// The in-flight instruction: its start cycle and line; for an RMW the
+	// cycle its forced drain began (after any broadcast) and ended, the
+	// cycle its line was locked, and its broadcast latency and flags.
+	opStart, opLine   uint64
+	rmwStart, drained uint64
+	locked, bcastLat  uint64
+	broadcast         bool
+	reverted          bool
+	// weakLocked is set while a weak RMW holds its line's lock but has not
+	// yet buffered its write half.
+	weakLocked bool
+
+	// pushCont is the continuation of a store stalled on a full write
+	// buffer (contNone when no store is stalled); pushAt, pushLine and
+	// pushRMW describe the store.
+	pushCont cont
+	pushAt   uint64
+	pushLine uint64
+	pushRMW  bool
+	// emptyCont is the continuation of a forced drain, run when the buffer
+	// empties; while it is set the drain is forced, which (with
+	// ParallelDrain) makes the drainer issue every pending entry
+	// concurrently.
+	emptyCont cont
 
 	done       bool
 	finishTime uint64
@@ -59,14 +137,111 @@ func newProcessor(id int, cfg Config, engine *Engine, dir *directory.Directory, 
 	}
 }
 
-// sched schedules a continuation at the given cycle through the engine.
-func (p *processor) sched(at uint64, fn func(uint64)) {
-	p.engine.Schedule(at, func() { fn(at) })
+// schedule queues continuation c (with arg) at the given cycle.
+func (p *processor) schedule(at uint64, c cont, arg uint64) {
+	p.engine.Schedule(Event{At: at, Core: p.id, Tag: tag(c, arg)})
 }
 
 // start begins execution at cycle 0.
 func (p *processor) start() {
-	p.sched(0, p.step)
+	p.schedule(0, contStep, 0)
+}
+
+// run executes continuation c with argument arg at cycle at.
+func (p *processor) run(c cont, arg, at uint64) {
+	switch c {
+	case contStep:
+		p.step(at)
+	case contReadDone:
+		p.stats.ReadStallCycles += at - p.opStart
+		p.schedule(at, contStep, 0)
+	case contWriteRetired:
+		if at > p.opStart+1 {
+			p.stats.WriteStallCycles += at - p.opStart - 1
+		}
+		p.schedule(at, contStep, 0)
+	case contFenceDrained:
+		p.schedule(at, contStep, 0)
+	case contRMWDrained:
+		p.drained = at
+		p.access(p.opLine, directory.GetM, true, at, contRMWLocked, 0)
+	case contRMWLocked:
+		// The write performs into the locked, owned line.
+		p.schedule(at+1, contRMWUnlock, 0)
+	case contRMWUnlock:
+		p.dir.Unlock(p.opLine, p.id, at)
+		p.recordRMW(RMWCost{
+			WriteBuffer: p.drained - p.rmwStart,
+			RaWa:        (at - p.drained) + p.bcastLat,
+			Reverted:    p.reverted,
+			Broadcast:   p.broadcast,
+		})
+		p.step(at)
+	case contWeakLocked:
+		p.weakLocked = true
+		p.schedule(at, contWeakPush, 0)
+	case contWeakPush:
+		p.locked = at
+		p.weakLocked = false
+		p.pushWrite(at, p.opLine, true, contWeakRetired)
+	case contWeakRetired:
+		wbWait := uint64(0)
+		if at > p.locked+1 {
+			wbWait = at - p.locked - 1 // stalled for a free slot
+		}
+		p.recordRMW(RMWCost{
+			WriteBuffer: wbWait,
+			RaWa:        (p.locked - p.opStart) + 1,
+			Broadcast:   p.broadcast,
+		})
+		p.schedule(at, contStep, 0)
+	case contEntryOwned:
+		// Completion is deferred through the engine so the buffer's state
+		// only changes at the completion cycle.
+		p.schedule(at, contEntryReady, arg)
+	case contEntryReady:
+		p.completeEntry(p.entry(arg), at)
+	case contEntryUnlocked:
+		p.schedule(at+p.cfg.LockRetryCycles, contEntryRetry, arg)
+	case contEntryRetry:
+		p.access(p.entry(arg).Line, directory.GetM, false, at, contEntryOwned, arg)
+	default:
+		panic(fmt.Sprintf("sim: core %d: unknown continuation %d", p.id, c))
+	}
+}
+
+// entry returns the pending write-buffer entry with the given ID. An
+// entry with an outstanding continuation cannot have left the buffer
+// (only ready entries leave), so a miss is a modelling bug.
+func (p *processor) entry(id uint64) *writebuffer.Entry {
+	e := p.wb.Find(id)
+	if e == nil {
+		panic(fmt.Sprintf("sim: core %d: write-buffer entry %d left the buffer with a continuation pending", p.id, id))
+	}
+	return e
+}
+
+// access issues a coherence request (locking the line if lock is set)
+// whose completion runs continuation c with arg: at once if the directory
+// completes it, or when the directory resumes it after the line's lock is
+// released.
+func (p *processor) access(line uint64, kind directory.ReqKind, lock bool, at uint64, c cont, arg uint64) {
+	var done uint64
+	var ok bool
+	if lock {
+		done, ok = p.dir.AccessAndLock(p.id, line, kind, at, tag(c, arg))
+	} else {
+		done, ok = p.dir.Access(p.id, line, kind, at, tag(c, arg))
+	}
+	if ok {
+		p.run(c, arg, done)
+	}
+}
+
+// resume runs the continuation named by tag t: an engine event's or a
+// parked directory request's.
+func (p *processor) resume(t, at uint64) {
+	p.run(cont(t&(1<<tagBits-1)), t>>tagBits, at)
 }
 
 // step pulls and executes the next trace operation.
@@ -79,7 +254,7 @@ func (p *processor) step(at uint64) {
 	switch op.Kind {
 	case OpCompute:
 		p.stats.Computes++
-		p.sched(at+op.Think, p.step)
+		p.schedule(at+op.Think, contStep, 0)
 	case OpRead:
 		p.read(at, op.Addr)
 	case OpWrite:
@@ -87,11 +262,12 @@ func (p *processor) step(at uint64) {
 	case OpRMW:
 		p.rmw(at, op.Addr)
 	case OpFence:
-		p.fence(at)
+		p.stats.Fences++
+		p.drainAll(at, contFenceDrained)
 	default:
 		// Unknown kinds are skipped; traces are produced in-process so this
 		// is unreachable in practice.
-		p.sched(at, p.step)
+		p.schedule(at, contStep, 0)
 	}
 }
 
@@ -112,38 +288,30 @@ func (p *processor) read(at uint64, addr uint64) {
 	line := p.cfg.LineOf(addr)
 	if p.wb.Contains(line) {
 		// Forwarded from the youngest matching store in one cycle.
-		p.sched(at+1, p.step)
+		p.schedule(at+1, contStep, 0)
 		return
 	}
-	p.dir.Access(p.id, line, directory.GetS, at, func(done uint64) {
-		p.stats.ReadStallCycles += done - at
-		p.sched(done, p.step)
-	})
+	p.opStart = at
+	p.access(line, directory.GetS, false, at, contReadDone, 0)
 }
 
 // writeOp retires a store into the write buffer and moves on; the store
 // performs later when it reaches the buffer head.
 func (p *processor) writeOp(at uint64, addr uint64) {
 	p.stats.Writes++
-	line := p.cfg.LineOf(addr)
-	p.pushWrite(at, line, false, func(done uint64) {
-		if done > at+1 {
-			p.stats.WriteStallCycles += done - at - 1
-		}
-		p.sched(done, p.step)
-	})
+	p.opStart = at
+	p.pushWrite(at, p.cfg.LineOf(addr), false, contWriteRetired)
 }
 
 // pushWrite appends a write to the write buffer, stalling until space is
-// available, and invokes cont one cycle after the push (the retire cycle).
-func (p *processor) pushWrite(at uint64, line uint64, isRMWWrite bool, cont func(at uint64)) {
+// available, and runs continuation c one cycle after the push (the retire
+// cycle).
+func (p *processor) pushWrite(at uint64, line uint64, isRMWWrite bool, c cont) {
 	if p.wb.Full() {
-		p.slotWaiters = append(p.slotWaiters, func(freeAt uint64) {
-			if freeAt < at {
-				freeAt = at
-			}
-			p.pushWrite(freeAt, line, isRMWWrite, cont)
-		})
+		if p.pushCont != contNone {
+			panic(fmt.Sprintf("sim: core %d: two stores stalled on the write buffer", p.id))
+		}
+		p.pushCont, p.pushAt, p.pushLine, p.pushRMW = c, at, line, isRMWWrite
 		return
 	}
 	if _, err := p.wb.Push(line, isRMWWrite, at); err != nil {
@@ -151,15 +319,7 @@ func (p *processor) pushWrite(at uint64, line uint64, isRMWWrite bool, cont func
 		panic(err)
 	}
 	p.kickDrain(at)
-	cont(at + 1)
-}
-
-// fence drains the write buffer before the next operation.
-func (p *processor) fence(at uint64) {
-	p.stats.Fences++
-	p.drainAll(at, func(done uint64) {
-		p.sched(done, p.step)
-	})
+	p.run(c, 0, at+1)
 }
 
 // kickDrain makes sure the write-buffer drainer is working: up to
@@ -176,34 +336,24 @@ func (p *processor) kickDrain(at uint64) {
 	if limit <= 0 {
 		limit = 1
 	}
-	if p.forcedDrain && p.cfg.ParallelDrain {
+	if p.emptyCont != contNone && p.cfg.ParallelDrain {
 		limit = p.wb.Len()
 	}
 	outstanding := 0
-	for _, e := range p.wb.Entries() {
-		if outstanding >= limit {
-			break
-		}
+	for i := 0; i < p.wb.Len() && outstanding < limit; i++ {
+		e := p.wb.At(i)
 		if e.InFlight && !e.Ready {
 			outstanding++
 			continue
 		}
 		if !e.InFlight {
-			p.issueEntry(e, at)
+			// Sends the entry's ownership request; completion arrives as
+			// contEntryOwned.
+			e.InFlight = true
+			p.access(e.Line, directory.GetM, false, at, contEntryOwned, e.ID)
 			outstanding++
 		}
 	}
-}
-
-// issueEntry sends the ownership request for one write-buffer entry and
-// completes the write when ownership arrives. Completion is deferred
-// through the engine so the buffer's state only changes at the completion
-// cycle.
-func (p *processor) issueEntry(e *writebuffer.Entry, at uint64) {
-	e.InFlight = true
-	p.dir.Access(p.id, e.Line, directory.GetM, at, func(done uint64) {
-		p.engine.Schedule(done, func() { p.completeEntry(e, done) })
-	})
 }
 
 // completeEntry records that a pending write's ownership response has
@@ -235,57 +385,74 @@ func (p *processor) drainReady(at uint64) {
 		if head.ReadyAt > at {
 			at = head.ReadyAt
 		}
-		denied := p.dir.WaitForUnlock(head.Line, p.id, func(unlockedAt uint64) {
-			retry := unlockedAt + p.cfg.LockRetryCycles
-			p.engine.Schedule(retry, func() {
-				p.dir.Access(p.id, head.Line, directory.GetM, retry, func(done uint64) {
-					p.engine.Schedule(done, func() { p.completeEntry(head, done) })
-				})
-			})
-		})
-		if denied {
+		if p.dir.WaitForUnlock(head.Line, p.id, tag(contEntryUnlocked, head.ID)) {
 			head.Ready = false
 			return
 		}
-		p.wb.Remove(head)
-		if head.IsRMWWrite {
+		line, isRMWWrite := head.Line, head.IsRMWWrite
+		p.wb.Remove(head.ID)
+		if isRMWWrite && !p.holdsRMWLock(line) {
 			// Completing the write half of a weak RMW releases its line
 			// lock, letting denied coherence requests proceed.
-			p.dir.Unlock(head.Line, p.id, at)
+			p.dir.Unlock(line, p.id, at)
 		}
 		p.notifySlotFree(at)
 		p.kickDrain(at)
 	}
 }
 
+// holdsRMWLock reports whether another weak RMW of this core still needs
+// the line's lock: one whose write half is buffered, or the in-flight one
+// between locking the line and buffering its write half. Without deadlock
+// avoidance a core can re-lock its own locked line with a second RMW (the
+// lock is re-entrant), and the lock must then be held until the last of
+// those write halves performs.
+func (p *processor) holdsRMWLock(line uint64) bool {
+	if p.weakLocked && p.opLine == line {
+		return true
+	}
+	for i := 0; i < p.wb.Len(); i++ {
+		if e := p.wb.At(i); e.IsRMWWrite && e.Line == line {
+			return true
+		}
+	}
+	return false
+}
+
 // drainAll waits until the write buffer is empty (a forced drain), then
-// invokes done.
-func (p *processor) drainAll(at uint64, done func(at uint64)) {
+// runs continuation c.
+func (p *processor) drainAll(at uint64, c cont) {
 	if p.wb.Empty() {
-		done(at)
+		p.run(c, 0, at)
 		return
 	}
-	p.emptyWaiters = append(p.emptyWaiters, done)
-	p.forcedDrain = true
+	if p.emptyCont != contNone {
+		panic(fmt.Sprintf("sim: core %d: two forced drains in flight", p.id))
+	}
+	p.emptyCont = c
 	p.kickDrain(at)
 }
 
+// notifyEmpty ends a forced drain, running its continuation.
 func (p *processor) notifyEmpty(at uint64) {
-	p.forcedDrain = false
-	waiters := p.emptyWaiters
-	p.emptyWaiters = nil
-	for _, w := range waiters {
-		w(at)
+	c := p.emptyCont
+	p.emptyCont = contNone
+	if c != contNone {
+		p.run(c, 0, at)
 	}
 }
 
+// notifySlotFree resumes a store stalled on a full buffer.
 func (p *processor) notifySlotFree(at uint64) {
-	if len(p.slotWaiters) == 0 || p.wb.Full() {
+	if p.pushCont == contNone || p.wb.Full() {
 		return
 	}
-	w := p.slotWaiters[0]
-	p.slotWaiters = p.slotWaiters[1:]
-	w(at)
+	c := p.pushCont
+	p.pushCont = contNone
+	if at < p.pushAt {
+		at = p.pushAt
+	}
+	p.pushWrite(at, p.pushLine, p.pushRMW, c)
 }
 
 // recordRMW accumulates one dynamic RMW's cost.
@@ -301,34 +468,25 @@ func (p *processor) recordRMW(c RMWCost) {
 	}
 }
 
-// rmw dispatches to the configured RMW implementation.
+// rmw starts an RMW under the configured implementation. The baseline
+// strongly-ordered type-1 RMW (§3.1) drains the write buffer, obtains
+// exclusive ownership, locks, performs the read and the write, unlocks,
+// and only then lets the next instruction retire (contRMWDrained ->
+// contRMWLocked -> contRMWUnlock).
 func (p *processor) rmw(at uint64, addr uint64) {
 	p.stats.RMWs++
 	line := p.cfg.LineOf(addr)
 	if p.noteRMWLine != nil {
 		p.noteRMWLine(line)
 	}
+	p.opStart, p.opLine = at, line
+	p.rmwStart, p.bcastLat = at, 0
+	p.broadcast, p.reverted = false, false
 	if p.cfg.RMWType == core.Type1 {
-		p.rmwType1(at, line)
+		p.drainAll(at, contRMWDrained)
 		return
 	}
 	p.rmwWeak(at, line)
-}
-
-// rmwType1 implements the baseline strongly-ordered RMW (§3.1): drain the
-// write buffer, obtain exclusive ownership, lock, perform the read and the
-// write, unlock, and only then let the next instruction retire.
-func (p *processor) rmwType1(at uint64, line uint64) {
-	p.drainAll(at, func(drained uint64) {
-		p.dir.AccessAndLock(p.id, line, directory.GetM, drained, func(locked uint64) {
-			done := locked + 1 // the write performs into the locked, owned line
-			p.engine.Schedule(done, func() {
-				p.dir.Unlock(line, p.id, done)
-				p.recordRMW(RMWCost{WriteBuffer: drained - at, RaWa: done - drained})
-				p.step(done)
-			})
-		})
-	})
 }
 
 // rmwWeak implements the type-2 and type-3 RMWs (§3.2, §3.3). The read half
@@ -338,41 +496,26 @@ func (p *processor) rmwType1(at uint64, line uint64) {
 // addr-list protocol reverts to a type-1-style drain whenever a pending
 // write might target a line locked by another processor's RMW.
 func (p *processor) rmwWeak(at uint64, line uint64) {
-	var broadcast, conflict bool
-	var bcastLat uint64
 	if !p.cfg.DisableDeadlockAvoidance {
-		broadcast = p.addrs.LookupOrBroadcast(p.id, line)
-		if broadcast {
-			bcastLat = p.topo.BroadcastLatency(p.id)
+		p.broadcast = p.addrs.LookupOrBroadcast(p.id, line)
+		if p.broadcast {
+			p.bcastLat = p.topo.BroadcastLatency(p.id)
 		}
-		for _, e := range p.wb.Entries() {
-			if p.addrs.ConflictsWithPendingWrite(p.id, e.Line) {
-				conflict = true
+		for i := 0; i < p.wb.Len(); i++ {
+			if p.addrs.ConflictsWithPendingWrite(p.id, p.wb.At(i).Line) {
+				p.reverted = true
 				break
 			}
 		}
 	}
-	start := at + bcastLat
+	start := at + p.bcastLat
 
-	if conflict {
+	if p.reverted {
 		// Deadlock-safety cannot be guaranteed: fall back to the type-1
 		// sequence (drain first), counting the drain in the write-buffer
-		// component.
-		p.drainAll(start, func(drained uint64) {
-			p.dir.AccessAndLock(p.id, line, directory.GetM, drained, func(locked uint64) {
-				done := locked + 1
-				p.engine.Schedule(done, func() {
-					p.dir.Unlock(line, p.id, done)
-					p.recordRMW(RMWCost{
-						WriteBuffer: drained - start,
-						RaWa:        (done - drained) + bcastLat,
-						Reverted:    true,
-						Broadcast:   broadcast,
-					})
-					p.step(done)
-				})
-			})
-		})
+		// component and the broadcast in the Ra/Wa component.
+		p.rmwStart = start
+		p.drainAll(start, contRMWDrained)
 		return
 	}
 
@@ -383,22 +526,8 @@ func (p *processor) rmwWeak(at uint64, line uint64) {
 		// the line is not owned locally the lock is taken at the directory.
 		kind = directory.GetS
 	}
-	p.dir.AccessAndLock(p.id, line, kind, start, func(locked uint64) {
-		// Wa retires into the write buffer; the RMW (and everything after
-		// it) retires without waiting for the drain.
-		p.engine.Schedule(locked, func() {
-			p.pushWrite(locked, line, true, func(pushed uint64) {
-				wbWait := uint64(0)
-				if pushed > locked+1 {
-					wbWait = pushed - locked - 1 // stalled for a free slot
-				}
-				p.recordRMW(RMWCost{
-					WriteBuffer: wbWait,
-					RaWa:        (locked - at) + 1,
-					Broadcast:   broadcast,
-				})
-				p.sched(pushed, p.step)
-			})
-		})
-	})
+	// Wa then retires into the write buffer; the RMW (and everything after
+	// it) retires without waiting for the drain (contWeakLocked ->
+	// contWeakPush -> contWeakRetired).
+	p.access(line, kind, true, start, contWeakLocked, 0)
 }

@@ -43,11 +43,18 @@ func (s *Simulator) Run(trace *Trace) (*Result, error) {
 // for a materialized trace's views, O(episode) for workload generators)
 // regardless of trace length. Deadlock is reported the same way as in Run.
 func (s *Simulator) RunSource(src TraceSource) (*Result, error) {
+	res, _, err := s.run(src)
+	return res, err
+}
+
+// run simulates the source and also returns the engine that ran it, whose
+// peak queue depth tests inspect.
+func (s *Simulator) run(src TraceSource) (*Result, *Engine, error) {
 	if src.Cores() == 0 {
-		return nil, fmt.Errorf("sim: trace %q has no cores", src.Name())
+		return nil, nil, fmt.Errorf("sim: trace %q has no cores", src.Name())
 	}
 	if src.Cores() > s.cfg.Cores {
-		return nil, fmt.Errorf("sim: trace %q has %d core streams but the configuration has %d cores",
+		return nil, nil, fmt.Errorf("sim: trace %q has %d core streams but the configuration has %d cores",
 			src.Name(), src.Cores(), s.cfg.Cores)
 	}
 	engine := NewEngine()
@@ -80,8 +87,9 @@ func (s *Simulator) RunSource(src TraceSource) (*Result, error) {
 		procs[i] = newProcessor(i, s.cfg, engine, dir, topo, addrs, stream, noteRMW)
 		procs[i].start()
 	}
+	dir.OnResume(func(core int, tag, at uint64) { procs[core].resume(tag, at) })
 
-	runErr := engine.Run(s.cfg.MaxCycles)
+	runErr := engine.Run(s.cfg.MaxCycles, func(ev Event) { procs[ev.Core].resume(ev.Tag, ev.At) })
 
 	res := &Result{
 		Workload:   src.Name(),
@@ -108,13 +116,17 @@ func (s *Simulator) RunSource(src TraceSource) (*Result, error) {
 	res.DirectoryLockDenials = dir.Stats().LockDenials
 
 	if runErr != nil {
-		return res, fmt.Errorf("sim: %s: %w", src.Name(), runErr)
+		return res, engine, fmt.Errorf("sim: %s: %w", src.Name(), runErr)
 	}
 	if !allDone || !allDrained {
 		// The event queue drained while cores still had work or while
 		// writes were still parked on locked lines: the write-deadlock of
 		// Fig. 10. This is only reachable with deadlock avoidance disabled.
 		res.Deadlocked = true
+	} else if n := dir.LockedLines(); n != 0 {
+		// Every RMW releases its line when its write performs, so a
+		// completed run with a line still locked is a modelling bug.
+		return res, engine, fmt.Errorf("sim: %s: %d lines still locked after every core finished and drained", src.Name(), n)
 	}
-	return res, nil
+	return res, engine, nil
 }

@@ -372,3 +372,26 @@ func TestIdleCoresDoNotAffectResults(t *testing.T) {
 		t.Error("idle cores should not contribute RMW overhead")
 	}
 }
+
+// TestRepeatedWeakRMWHoldsLockUntilLastWrite issues two naive type-2 RMWs
+// to one line back to back, so both write halves sit in the write buffer
+// at once. The line must stay locked until the second write half performs
+// (the first one's completion must not release it), and the other core's
+// RMW on the line must then go through.
+func TestRepeatedWeakRMWHoldsLockUntilLastWrite(t *testing.T) {
+	const lineA, lineL = 0x10000, 0x20000
+	trace := NewTrace("rmw-twice", 2)
+	trace.Append(0, Write(lineA), RMW(lineL), RMW(lineL), Fence())
+	trace.Append(1, Compute(2000), RMW(lineL))
+	for _, typ := range []core.AtomicityType{core.Type2, core.Type3} {
+		cfg := testConfig().WithRMWType(typ)
+		cfg.DisableDeadlockAvoidance = true
+		res := runTrace(t, cfg, trace)
+		if res.Deadlocked {
+			t.Fatalf("%s: run deadlocked", typ)
+		}
+		if got := res.TotalRMWs(); got != 3 {
+			t.Errorf("%s: %d RMWs retired, want 3", typ, got)
+		}
+	}
+}

@@ -25,21 +25,21 @@ type Entry struct {
 	// records when ownership arrived.
 	Ready   bool
 	ReadyAt uint64
-	// id is a unique identity used to remove entries that complete out of
-	// order during a parallel forced drain.
-	id uint64
+	// ID identifies the entry while it is pending. IDs increase in push
+	// order, so they name an entry across pushes and removals that move
+	// it within the buffer's storage.
+	ID uint64
 }
 
-// Buffer is a bounded FIFO write buffer.
+// Buffer is a bounded FIFO write buffer: a fixed ring of Entry values, so
+// pushing and removing writes allocates nothing. Pointers returned by
+// Head, At and Find point into the ring and stay valid only until the
+// next Push or Remove.
 type Buffer struct {
-	capacity int
-	entries  []*Entry
-	nextID   uint64
-
-	// statistics
-	enqueued     uint64
-	maxOccupancy int
-	fullStalls   uint64
+	ring   []Entry
+	head   int // ring index of the oldest entry
+	n      int
+	nextID uint64
 }
 
 // New returns an empty buffer with the given capacity. It panics on a
@@ -48,97 +48,106 @@ func New(capacity int) *Buffer {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("writebuffer: non-positive capacity %d", capacity))
 	}
-	return &Buffer{capacity: capacity}
+	return &Buffer{ring: make([]Entry, capacity)}
 }
 
 // Capacity returns the buffer's capacity in entries.
-func (b *Buffer) Capacity() int { return b.capacity }
+func (b *Buffer) Capacity() int { return len(b.ring) }
 
 // Len returns the number of pending writes.
-func (b *Buffer) Len() int { return len(b.entries) }
+func (b *Buffer) Len() int { return b.n }
 
 // Empty reports whether no writes are pending.
-func (b *Buffer) Empty() bool { return len(b.entries) == 0 }
+func (b *Buffer) Empty() bool { return b.n == 0 }
 
 // Full reports whether the buffer cannot accept another write.
-func (b *Buffer) Full() bool { return len(b.entries) >= b.capacity }
+func (b *Buffer) Full() bool { return b.n >= len(b.ring) }
 
-// Push appends a write to the tail. It returns the new entry, or an error
-// if the buffer is full (the caller must stall and retry once an entry
-// drains).
-func (b *Buffer) Push(line uint64, isRMWWrite bool, at uint64) (*Entry, error) {
+// slot returns the ring index of the i-th oldest entry.
+func (b *Buffer) slot(i int) int {
+	s := b.head + i
+	if s >= len(b.ring) {
+		s -= len(b.ring)
+	}
+	return s
+}
+
+// Push appends a write to the tail and returns its ID, or an error if the
+// buffer is full (the caller must stall and retry once an entry drains).
+func (b *Buffer) Push(line uint64, isRMWWrite bool, at uint64) (uint64, error) {
 	if b.Full() {
-		b.fullStalls++
-		return nil, fmt.Errorf("writebuffer: full (capacity %d)", b.capacity)
+		return 0, fmt.Errorf("writebuffer: full (capacity %d)", len(b.ring))
 	}
-	e := &Entry{Line: line, IsRMWWrite: isRMWWrite, EnqueuedAt: at, id: b.nextID}
+	id := b.nextID
 	b.nextID++
-	b.entries = append(b.entries, e)
-	b.enqueued++
-	if len(b.entries) > b.maxOccupancy {
-		b.maxOccupancy = len(b.entries)
-	}
-	return e, nil
+	b.ring[b.slot(b.n)] = Entry{Line: line, IsRMWWrite: isRMWWrite, EnqueuedAt: at, ID: id}
+	b.n++
+	return id, nil
 }
 
 // Head returns the oldest pending write, or nil when empty.
 func (b *Buffer) Head() *Entry {
-	if len(b.entries) == 0 {
+	if b.n == 0 {
 		return nil
 	}
-	return b.entries[0]
+	return &b.ring[b.head]
 }
 
-// Entries returns the pending writes in FIFO order. The returned slice
-// aliases the buffer's internal storage and must not be modified; it is
-// intended for read-only scans such as the bloom-filter conflict check and
-// store-to-load forwarding.
-func (b *Buffer) Entries() []*Entry { return b.entries }
+// At returns the i-th oldest pending write (0 <= i < Len), for in-order
+// scans such as the drain issue loop and the bloom-filter conflict check.
+func (b *Buffer) At(i int) *Entry {
+	if i < 0 || i >= b.n {
+		panic(fmt.Sprintf("writebuffer: index %d out of range [0,%d)", i, b.n))
+	}
+	return &b.ring[b.slot(i)]
+}
 
-// Remove deletes the given entry (identified by identity, not position),
-// returning whether it was present. Entries normally complete at the head,
-// but a parallel forced drain may complete them out of order.
-func (b *Buffer) Remove(e *Entry) bool {
-	for i, cur := range b.entries {
-		if cur.id == e.id {
-			b.entries = append(b.entries[:i], b.entries[i+1:]...)
-			return true
+// index returns the FIFO position of the entry with the given ID, or -1.
+func (b *Buffer) index(id uint64) int {
+	for i := 0; i < b.n; i++ {
+		if b.ring[b.slot(i)].ID == id {
+			return i
 		}
 	}
-	return false
+	return -1
+}
+
+// Find returns the pending write with the given ID, or nil if it has left
+// the buffer.
+func (b *Buffer) Find(id uint64) *Entry {
+	if i := b.index(id); i >= 0 {
+		return &b.ring[b.slot(i)]
+	}
+	return nil
+}
+
+// Remove deletes the entry with the given ID, returning whether it was
+// present. Writes normally leave at the head; removing one from the middle
+// shifts the younger entries up, keeping FIFO order.
+func (b *Buffer) Remove(id uint64) bool {
+	i := b.index(id)
+	if i < 0 {
+		return false
+	}
+	if i == 0 {
+		b.head = b.slot(1)
+		b.n--
+		return true
+	}
+	for ; i < b.n-1; i++ {
+		b.ring[b.slot(i)] = b.ring[b.slot(i+1)]
+	}
+	b.n--
+	return true
 }
 
 // Contains reports whether a pending write to the given line exists, for
 // store-to-load forwarding.
 func (b *Buffer) Contains(line uint64) bool {
-	for _, e := range b.entries {
-		if e.Line == line {
+	for i := 0; i < b.n; i++ {
+		if b.ring[b.slot(i)].Line == line {
 			return true
 		}
 	}
 	return false
 }
-
-// PendingLines returns the distinct line addresses of all pending writes,
-// in FIFO order of first occurrence.
-func (b *Buffer) PendingLines() []uint64 {
-	seen := map[uint64]bool{}
-	var out []uint64
-	for _, e := range b.entries {
-		if !seen[e.Line] {
-			seen[e.Line] = true
-			out = append(out, e.Line)
-		}
-	}
-	return out
-}
-
-// Enqueued returns the total number of writes ever pushed.
-func (b *Buffer) Enqueued() uint64 { return b.enqueued }
-
-// MaxOccupancy returns the highest number of simultaneously pending writes.
-func (b *Buffer) MaxOccupancy() int { return b.maxOccupancy }
-
-// FullStalls returns how many pushes were rejected because the buffer was
-// full.
-func (b *Buffer) FullStalls() uint64 { return b.fullStalls }

@@ -19,24 +19,24 @@ func TestPushPopFIFO(t *testing.T) {
 	if !b.Empty() || b.Full() || b.Len() != 0 || b.Capacity() != 4 {
 		t.Fatal("fresh buffer state wrong")
 	}
-	e1, err := b.Push(10, false, 100)
+	id1, err := b.Push(10, false, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := b.Push(20, true, 101)
+	id2, err := b.Push(20, true, 101)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.Len() != 2 || b.Empty() {
 		t.Fatal("length wrong after pushes")
 	}
-	if b.Head() != e1 {
+	if b.Head().ID != id1 {
 		t.Error("head should be the oldest entry")
 	}
-	if !b.Remove(e1) {
+	if !b.Remove(id1) {
 		t.Error("Remove head failed")
 	}
-	if b.Head() != e2 {
+	if b.Head().ID != id2 {
 		t.Error("head should advance after removal")
 	}
 	if b.Head().IsRMWWrite != true || b.Head().Line != 20 || b.Head().EnqueuedAt != 101 {
@@ -58,9 +58,6 @@ func TestPushFullRejects(t *testing.T) {
 	if _, err := b.Push(3, false, 0); err == nil {
 		t.Fatal("push into a full buffer must fail")
 	}
-	if b.FullStalls() != 1 {
-		t.Errorf("FullStalls = %d, want 1", b.FullStalls())
-	}
 	if b.Len() != 2 {
 		t.Error("failed push must not grow the buffer")
 	}
@@ -68,19 +65,22 @@ func TestPushFullRejects(t *testing.T) {
 
 func TestRemoveOutOfOrder(t *testing.T) {
 	b := New(4)
-	e1, _ := b.Push(1, false, 0)
-	e2, _ := b.Push(2, false, 0)
-	e3, _ := b.Push(3, false, 0)
-	if !b.Remove(e2) {
+	id1, _ := b.Push(1, false, 0)
+	id2, _ := b.Push(2, false, 0)
+	id3, _ := b.Push(3, false, 0)
+	if !b.Remove(id2) {
 		t.Fatal("middle removal failed")
 	}
-	if b.Len() != 2 || b.Head() != e1 {
+	if b.Len() != 2 || b.Head().ID != id1 || b.At(1).ID != id3 || b.At(1).Line != 3 {
 		t.Error("removal disturbed order")
 	}
-	if b.Remove(e2) {
+	if b.Remove(id2) {
 		t.Error("double removal should report absence")
 	}
-	if !b.Remove(e1) || !b.Remove(e3) {
+	if b.Find(id2) != nil || b.Find(id3).Line != 3 {
+		t.Error("Find must track entries by ID across removals")
+	}
+	if !b.Remove(id1) || !b.Remove(id3) {
 		t.Error("remaining removals failed")
 	}
 	if !b.Empty() {
@@ -91,7 +91,7 @@ func TestRemoveOutOfOrder(t *testing.T) {
 	}
 }
 
-func TestContainsAndPendingLines(t *testing.T) {
+func TestContains(t *testing.T) {
 	b := New(8)
 	b.Push(100, false, 0)
 	b.Push(200, false, 0)
@@ -99,34 +99,38 @@ func TestContainsAndPendingLines(t *testing.T) {
 	if !b.Contains(100) || !b.Contains(200) || b.Contains(300) {
 		t.Error("Contains wrong")
 	}
-	lines := b.PendingLines()
-	if len(lines) != 2 || lines[0] != 100 || lines[1] != 200 {
-		t.Errorf("PendingLines = %v, want [100 200]", lines)
-	}
-}
-
-func TestStatistics(t *testing.T) {
-	b := New(3)
-	for i := 0; i < 3; i++ {
-		b.Push(uint64(i), false, 0)
-	}
-	if b.MaxOccupancy() != 3 || b.Enqueued() != 3 {
-		t.Errorf("MaxOccupancy=%d Enqueued=%d", b.MaxOccupancy(), b.Enqueued())
-	}
-	b.Remove(b.Head())
-	b.Push(9, false, 0)
-	if b.MaxOccupancy() != 3 || b.Enqueued() != 4 {
-		t.Errorf("after churn: MaxOccupancy=%d Enqueued=%d", b.MaxOccupancy(), b.Enqueued())
-	}
 }
 
 func TestEntriesIsFIFOView(t *testing.T) {
 	b := New(4)
 	b.Push(5, false, 1)
 	b.Push(6, true, 2)
-	es := b.Entries()
-	if len(es) != 2 || es[0].Line != 5 || es[1].Line != 6 {
-		t.Errorf("Entries = %v", es)
+	if b.Len() != 2 || b.At(0).Line != 5 || b.At(1).Line != 6 || !b.At(1).IsRMWWrite {
+		t.Errorf("At view = %+v, %+v", *b.At(0), *b.At(1))
+	}
+}
+
+// TestRingWrapsAround pushes and drains many more writes than the ring
+// holds, so entries live at every ring offset including across the wrap.
+func TestRingWrapsAround(t *testing.T) {
+	b := New(3)
+	next := uint64(0)
+	for round := 0; round < 10; round++ {
+		for !b.Full() {
+			if _, err := b.Push(next, false, next); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		want := next - uint64(b.Len())
+		for i := 0; i < b.Len(); i++ {
+			if b.At(i).Line != want+uint64(i) {
+				t.Fatalf("round %d: At(%d).Line = %d, want %d", round, i, b.At(i).Line, want+uint64(i))
+			}
+		}
+		// Drain two of three, leaving the ring's head mid-array.
+		b.Remove(b.Head().ID)
+		b.Remove(b.Head().ID)
 	}
 }
 
@@ -140,7 +144,7 @@ func TestPropertyNeverExceedsCapacityAndFIFO(t *testing.T) {
 				if head.Line != order[0] {
 					return false // FIFO violated
 				}
-				b.Remove(head)
+				b.Remove(head.ID)
 				order = order[1:]
 				continue
 			}
