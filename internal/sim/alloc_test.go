@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"encoding/json"
 	"testing"
 
 	"repro/internal/core"
@@ -11,8 +12,8 @@ import (
 // simAllocBudget bounds the allocations of one simulator run of the
 // pre-built radiosity trace below. What remains is set-up (caches,
 // directory, write buffers, per-core state) and amortized growth of the
-// event queue, the directory's line tables and the RMW cost lists; none of
-// it scales per event or per memop.
+// event queue and the directory's line tables; none of it scales per
+// event or per memop.
 const simAllocBudget = 1000
 
 // TestSimRunAllocBudget runs the trace of the repository's
@@ -74,5 +75,41 @@ func TestEventQueueStaysWithinCoreBound(t *testing.T) {
 		if peak == 0 {
 			t.Errorf("%s: no events queued", r.name)
 		}
+	}
+}
+
+// TestResultSizeIndependentOfTraceLength runs one Table 3 profile at two
+// trace lengths and checks that the JSON-encoded result, which is what
+// the result cache, shard artifacts and the HTTP service store and send,
+// stays small in both: a result holds counters, not a record per
+// operation.
+func TestResultSizeIndependentOfTraceLength(t *testing.T) {
+	const maxBytes = 4 << 10
+	p, err := workload.FindProfile("radiosity")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sim.New(sim.DefaultConfig().WithCores(8).WithRMWType(core.Type2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rmws []uint64
+	for _, scale := range []float64{0.25, 1} {
+		res, err := s.RunSource(quickSource(t, p, 8, scale))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("scale %g: %d RMWs, %d-byte result", scale, res.TotalRMWs(), len(b))
+		if len(b) >= maxBytes {
+			t.Errorf("scale %g: result is %d bytes of JSON, want under %d", scale, len(b), maxBytes)
+		}
+		rmws = append(rmws, res.TotalRMWs())
+	}
+	if rmws[1] <= rmws[0] {
+		t.Errorf("the longer trace ran %d RMWs, the shorter %d: the lengths did not differ", rmws[1], rmws[0])
 	}
 }

@@ -87,8 +87,7 @@ type processor struct {
 
 	stream OpStream
 
-	stats    CoreStats
-	rmwCosts []RMWCost
+	stats CoreStats
 
 	// noteRMWLine lets the simulator track globally-unique RMW lines.
 	noteRMWLine func(line uint64)
@@ -118,8 +117,7 @@ type processor struct {
 	// concurrently.
 	emptyCont cont
 
-	done       bool
-	finishTime uint64
+	done bool
 }
 
 func newProcessor(id int, cfg Config, engine *Engine, dir *directory.Directory, topo *mesh.Topology, addrs *bloom.AddrList, stream OpStream, noteRMWLine func(uint64)) *processor {
@@ -170,12 +168,7 @@ func (p *processor) run(c cont, arg, at uint64) {
 		p.schedule(at+1, contRMWUnlock, 0)
 	case contRMWUnlock:
 		p.dir.Unlock(p.opLine, p.id, at)
-		p.recordRMW(RMWCost{
-			WriteBuffer: p.drained - p.rmwStart,
-			RaWa:        (at - p.drained) + p.bcastLat,
-			Reverted:    p.reverted,
-			Broadcast:   p.broadcast,
-		})
+		p.recordRMW(p.drained-p.rmwStart, (at-p.drained)+p.bcastLat)
 		p.step(at)
 	case contWeakLocked:
 		p.weakLocked = true
@@ -189,11 +182,7 @@ func (p *processor) run(c cont, arg, at uint64) {
 		if at > p.locked+1 {
 			wbWait = at - p.locked - 1 // stalled for a free slot
 		}
-		p.recordRMW(RMWCost{
-			WriteBuffer: wbWait,
-			RaWa:        (p.locked - p.opStart) + 1,
-			Broadcast:   p.broadcast,
-		})
+		p.recordRMW(wbWait, (p.locked-p.opStart)+1)
 		p.schedule(at, contStep, 0)
 	case contEntryOwned:
 		// Completion is deferred through the engine so the buffer's state
@@ -277,7 +266,6 @@ func (p *processor) step(at uint64) {
 // instruction retired, matching how execution time is normally reported.
 func (p *processor) finish(at uint64) {
 	p.done = true
-	p.finishTime = at
 	p.stats.Cycles = at
 }
 
@@ -402,13 +390,17 @@ func (p *processor) drainReady(at uint64) {
 }
 
 // holdsRMWLock reports whether another weak RMW of this core still needs
-// the line's lock: one whose write half is buffered, or the in-flight one
-// between locking the line and buffering its write half. Without deadlock
-// avoidance a core can re-lock its own locked line with a second RMW (the
-// lock is re-entrant), and the lock must then be held until the last of
-// those write halves performs.
+// the line's lock: one whose write half is buffered, the in-flight one
+// between locking the line and buffering its write half, or one whose
+// write half is stalled on a full buffer. Without deadlock avoidance a
+// core can re-lock its own locked line with a second RMW (the lock is
+// re-entrant), and the lock must then be held until the last of those
+// write halves performs.
 func (p *processor) holdsRMWLock(line uint64) bool {
 	if p.weakLocked && p.opLine == line {
+		return true
+	}
+	if p.pushCont != contNone && p.pushRMW && p.pushLine == line {
 		return true
 	}
 	for i := 0; i < p.wb.Len(); i++ {
@@ -455,15 +447,16 @@ func (p *processor) notifySlotFree(at uint64) {
 	p.pushWrite(at, p.pushLine, p.pushRMW, c)
 }
 
-// recordRMW accumulates one dynamic RMW's cost.
-func (p *processor) recordRMW(c RMWCost) {
-	p.rmwCosts = append(p.rmwCosts, c)
-	p.stats.RMWWriteBufferCycles += c.WriteBuffer
-	p.stats.RMWRaWaCycles += c.RaWa
-	if c.Reverted {
+// recordRMW accounts the completion of the in-flight RMW, whose cost was
+// wb write-buffer cycles plus raWa cycles for its read and write halves.
+func (p *processor) recordRMW(wb, raWa uint64) {
+	p.stats.RMWsCompleted++
+	p.stats.RMWWriteBufferCycles += wb
+	p.stats.RMWRaWaCycles += raWa
+	if p.reverted {
 		p.stats.RMWReverts++
 	}
-	if c.Broadcast {
+	if p.broadcast {
 		p.stats.RMWBroadcasts++
 	}
 }

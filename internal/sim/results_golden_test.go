@@ -122,8 +122,8 @@ func goldenRuns(t testing.TB) []goldenRun {
 }
 
 // resultDigest returns the hex SHA-256 of the JSON-encoded result: every
-// field (per-core stats, RMW costs in completion order, lock denials,
-// broadcasts, Deadlocked) feeds the digest.
+// field (per-core stats, lock denials, broadcasts, Deadlocked) feeds the
+// digest.
 func resultDigest(t testing.TB, res *sim.Result) string {
 	t.Helper()
 	b, err := json.Marshal(res)
@@ -135,8 +135,8 @@ func resultDigest(t testing.TB, res *sim.Result) string {
 }
 
 // TestResultsGolden pins the complete sim.Result of every golden run, so
-// a change to the simulator's event loop that alters any statistic, the
-// order of RMW costs, or a deadlock verdict fails here. Bless intentional
+// a change to the simulator's event loop that alters any statistic or a
+// deadlock verdict fails here. Bless intentional
 // changes to the timing model with -update.
 func TestResultsGolden(t *testing.T) {
 	var out bytes.Buffer

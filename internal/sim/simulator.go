@@ -102,9 +102,8 @@ func (s *Simulator) run(src TraceSource) (*Result, *Engine, error) {
 	allDrained := true
 	for i, p := range procs {
 		res.PerCore[i] = p.stats
-		res.RMWCosts = append(res.RMWCosts, p.rmwCosts...)
-		if p.finishTime > res.Cycles {
-			res.Cycles = p.finishTime
+		if p.stats.Cycles > res.Cycles {
+			res.Cycles = p.stats.Cycles
 		}
 		if !p.done {
 			allDone = false

@@ -144,19 +144,19 @@ func TestType1RMWIncludesDrainAndLocking(t *testing.T) {
 	trace := NewTrace("type1-rmw", 1)
 	trace.Append(0, Write(0x6000), RMW(0x7000), Compute(1))
 	res := runTrace(t, cfg, trace)
-	if len(res.RMWCosts) != 1 {
-		t.Fatalf("RMW costs = %d, want 1", len(res.RMWCosts))
+	c := res.PerCore[0]
+	if c.RMWsCompleted != 1 {
+		t.Fatalf("completed RMWs = %d, want 1", c.RMWsCompleted)
 	}
-	c := res.RMWCosts[0]
 	// The pending write's cold miss must appear in the write-buffer
 	// component.
-	if c.WriteBuffer < cfg.MemLatencyCycles {
-		t.Errorf("type-1 write-buffer component %d should include the pending write's memory latency", c.WriteBuffer)
+	if c.RMWWriteBufferCycles < cfg.MemLatencyCycles {
+		t.Errorf("type-1 write-buffer component %d should include the pending write's memory latency", c.RMWWriteBufferCycles)
 	}
-	if c.RaWa == 0 {
+	if c.RMWRaWaCycles == 0 {
 		t.Error("type-1 Ra/Wa component must be non-zero")
 	}
-	if c.Reverted || c.Broadcast {
+	if c.RMWReverts != 0 || c.RMWBroadcasts != 0 {
 		t.Error("type-1 RMWs neither broadcast nor revert")
 	}
 }
@@ -393,5 +393,26 @@ func TestRepeatedWeakRMWHoldsLockUntilLastWrite(t *testing.T) {
 		if got := res.TotalRMWs(); got != 3 {
 			t.Errorf("%s: %d RMWs retired, want 3", typ, got)
 		}
+	}
+}
+
+// TestType3StalledWriteHalfKeepsLock issues two naive type-3 RMWs to one
+// line on a one-entry write buffer, so the second write half stalls on the
+// full buffer while the first drains. The first write half's completion
+// must not release the lock the stalled one still needs; if it does, the
+// second write half later unlocks a line that is not locked.
+func TestType3StalledWriteHalfKeepsLock(t *testing.T) {
+	const lineB = 0x800
+	trace := NewTrace("rmw-stalled", 1)
+	trace.Append(0, RMW(lineB), RMW(lineB))
+	cfg := testConfig().WithRMWType(core.Type3)
+	cfg.WriteBufferDepth = 1
+	cfg.DisableDeadlockAvoidance = true
+	res := runTrace(t, cfg, trace)
+	if res.Deadlocked {
+		t.Fatal("run deadlocked")
+	}
+	if got := res.PerCore[0].RMWsCompleted; got != 2 {
+		t.Errorf("%d RMWs completed, want 2", got)
 	}
 }

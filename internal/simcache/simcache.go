@@ -36,8 +36,10 @@ import (
 // It participates in every key's canonical string, so bumping it (which a
 // change to sim.Config.Digest, sim.Result's serialized shape, or the
 // envelope layout requires) orphans all previously written entries
-// instead of misinterpreting them.
-const SchemaVersion = 1
+// instead of misinterpreting them. Version 2 added
+// CoreStats.RMWsCompleted, which AvgRMWCost divides by: a version-1
+// entry would decode without it and report a silently zero Fig. 11(a).
+const SchemaVersion = 2
 
 // Entry kinds. The kind participates in the key digest, so payloads of
 // different types can never alias.

@@ -19,7 +19,7 @@ func streamTestOptions() rmwtso.Options {
 // TestSimulateSourceMatchesSimulate asserts the acceptance criterion at
 // the single-run level: for the same (profile, seed, cores, scale) a
 // streamed run's statistics are identical — reflect.DeepEqual on the full
-// Result, including every per-core counter and per-RMW cost record — to
+// Result, including every per-core counter — to
 // the materialized run's, for every RMW type.
 func TestSimulateSourceMatchesSimulate(t *testing.T) {
 	cfg := rmwtso.DefaultSimConfig().WithCores(4)

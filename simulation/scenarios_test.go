@@ -293,7 +293,7 @@ func scenarioFleet(t *testing.T) {
 		"-serve-coordinator", addr, "-lease-ttl", "150ms", "-max-attempts", "10", "-format", "json")...)
 	waitListening(t, addr, srv)
 
-	// Every worker passes the same -lease-ttl so its heartbeat interval
+	// Every worker passes a -lease-ttl so its heartbeat interval
 	// (TTL/3 = 50ms) keeps leases on long units alive; without it the
 	// default 5s interval never beats and long units churn through expiry.
 	workerArgs := func(name string) []string {
@@ -323,10 +323,13 @@ func scenarioFleet(t *testing.T) {
 	// Faults 3+4 ride along with the recovery fleet: one worker whose
 	// heartbeats stall past the lease TTL (losing leases mid-execution,
 	// which it must survive), one whose lease polls are randomly fatal.
+	// The slow worker beats every 10ms (TTL/3 of its 30ms), well inside
+	// any unit's execution, so its delayed heartbeats fire however fast
+	// the units run; at 50ms, units near that length often never beat.
 	slowSpec := &chaos.Spec{Seed: *chaosSeed, Rules: []chaos.Rule{
 		{Hook: chaos.HookHeartbeat, Kind: chaos.KindDelay, Match: "slow", DelayMS: 400, Count: 2},
 	}}
-	slow := start(t, slowSpec, workerArgs("slow-beat")...)
+	slow := start(t, slowSpec, append(fleetFlags(), "-worker", url, "-worker-name", "slow-beat", "-lease-ttl", "30ms")...)
 	time.Sleep(100 * time.Millisecond) // let it lease before the steady worker drains
 	flakySpec := &chaos.Spec{Seed: *chaosSeed, Rules: []chaos.Rule{
 		{Hook: chaos.HookLease, Kind: chaos.KindKill, Match: "flaky", Prob: 0.4},
