@@ -42,11 +42,39 @@ func benchOptions() experiments.Options {
 // runTable3 and runCpp11 run the benchmark sweeps through the execution
 // engine, the single runUnit path behind every sweep mode.
 func runTable3(o experiments.Options) ([]*experiments.BenchmarkRun, error) {
-	return engine.New().RunBenchmarks(o, experiments.Table3Specs())
+	return runSpecs(o, experiments.Table3Specs())
 }
 
 func runCpp11(o experiments.Options) ([]*experiments.BenchmarkRun, error) {
-	return engine.New().RunBenchmarks(o, experiments.Cpp11Specs())
+	return runSpecs(o, experiments.Cpp11Specs())
+}
+
+// runSpecs builds the plan of specs, runs it on a fresh engine and
+// reassembles its benchmark runs.
+func runSpecs(o experiments.Options, specs []experiments.BenchmarkSpec) ([]*experiments.BenchmarkRun, error) {
+	plan, err := engine.BuildPlan(o, specs)
+	if err != nil {
+		return nil, err
+	}
+	sr, err := runPlan(engine.New(), plan)
+	if err != nil {
+		return nil, err
+	}
+	return plan.Runs(sr.Units)
+}
+
+// runPlan submits the whole plan to eng as one plan job and waits for
+// its shard result.
+func runPlan(eng *engine.Engine, plan *engine.Plan) (*engine.ShardResult, error) {
+	h, err := eng.Submit(context.Background(), engine.Job{Plan: plan})
+	if err != nil {
+		return nil, err
+	}
+	res, err := h.Wait()
+	if err != nil {
+		return nil, err
+	}
+	return res.Shard, nil
 }
 
 // BenchmarkTable1IdiomMatrix regenerates Table 1: model checking of the
@@ -209,7 +237,7 @@ func BenchmarkRunPlanOverhead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	warm, err := eng.RunPlan(context.Background(), plan, engine.FullShard())
+	warm, err := runPlan(eng, plan)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -219,7 +247,7 @@ func BenchmarkRunPlanOverhead(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sr, err := eng.RunPlan(context.Background(), plan, engine.FullShard())
+		sr, err := runPlan(eng, plan)
 		if err != nil {
 			b.Fatal(err)
 		}

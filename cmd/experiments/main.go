@@ -237,6 +237,8 @@ func main() {
 	if *outPath != "" && *shardArg == "" {
 		fatalUsage(fmt.Errorf("-out only applies with -shard"))
 	}
+	plan, err := rmwtso.DefaultPlanSeeds(opts, seedList...)
+	check(err)
 	if planMode {
 		if *all || *table != "" || *fig != "" || *summary {
 			fatalUsage(fmt.Errorf("-list-units/-shard/-merge/-format emit whole-plan output and cannot be combined with -all/-table/-fig/-summary"))
@@ -244,8 +246,6 @@ func main() {
 		if *listU && *format != "" {
 			fatalUsage(fmt.Errorf("-list-units prints the plan listing; -format only applies to full reports"))
 		}
-		plan, err := rmwtso.DefaultPlanSeeds(opts, seedList...)
-		check(err)
 
 		switch {
 		case *listU:
@@ -373,14 +373,19 @@ func main() {
 		return
 	}
 
-	runner := newRunner(*par, cache, *progress)
-
 	fmt.Printf("Simulating the Table 3 benchmark set (%d cores, scale %.2f)...\n\n", opts.Cores, opts.Scale)
-	runs, err := runner.RunBenchmarksSeeds(opts, rmwtso.Table3Specs(), seedList...)
+	res, err := runPlan(newRunner(*par, cache, *progress), plan, rmwtso.FullShard(), nil)
 	check(err)
-	cppRuns, err := runner.RunBenchmarksSeeds(opts, rmwtso.Cpp11Specs(), seedList...)
+	allRuns, err := plan.Runs(res.Units)
 	check(err)
-	allRuns := append(append([]*rmwtso.BenchmarkRun{}, runs...), cppRuns...)
+	// Table 3 covers the non-replacement runs, as in BuildReport; Fig. 11
+	// covers every run.
+	var runs []*rmwtso.BenchmarkRun
+	for _, r := range allRuns {
+		if r.Variant == rmwtso.NoReplacement {
+			runs = append(runs, r)
+		}
+	}
 
 	// Multi-seed sweeps render the per-seed sections from the base seed
 	// (matching BuildReport) and append the cross-seed statistics.

@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 
 	"repro/internal/cliflags"
 	"repro/pkg/rmwtso"
@@ -158,41 +159,63 @@ func main() {
 		if typeSet {
 			fatal(fmt.Errorf("-sweep runs all three RMW types and cannot be combined with -type"))
 		}
-		runner := rmwtso.NewRunner(rmwtso.WithCache(cache))
-		runs, err := runner.SweepSourceCached(cfg, source, *seed, *scale)
-		if err != nil {
-			fatal(err)
+		// One goroutine per type; results print in type order.
+		types := rmwtso.AllTypes()
+		recs := make([]runRecord, len(types))
+		errs := make([]error, len(types))
+		var wg sync.WaitGroup
+		for i, typ := range types {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				recs[i], errs[i] = run(cache, cfg.WithRMWType(typ), source, *seed, *scale)
+			}()
 		}
-		for _, run := range runs {
-			if run.CacheHit {
-				fmt.Fprintf(os.Stderr, "rmwsim: %s under %s served from cache\n", run.Trace, run.Type)
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				fatal(err)
 			}
-			emitRun(*format, runRecord{Unit: string(run.Unit), Trace: run.Trace, Type: run.Type.String(), CacheHit: run.CacheHit, Result: run.Result})
+		}
+		for _, rec := range recs {
+			if rec.CacheHit {
+				fmt.Fprintf(os.Stderr, "rmwsim: %s under %s served from cache\n", rec.Trace, rec.Type)
+			}
+			emitRun(*format, rec)
 		}
 		reportCache(cache)
 		return
 	}
 
-	runCfg := cfg.WithRMWType(typ)
-	res, hit, err := rmwtso.SimulateSourceCached(cache, runCfg, source, *seed, *scale)
+	rec, err := run(cache, cfg.WithRMWType(typ), source, *seed, *scale)
 	if err != nil {
 		fatal(err)
 	}
-	if hit {
+	if rec.CacheHit {
 		fmt.Fprintln(os.Stderr, "rmwsim: result served from cache")
 	}
-	emitRun(*format, runRecord{
-		Unit:     rmwtso.SimCacheKey(runCfg, source, *seed, *scale).UnitID(),
-		Trace:    source.Name(),
-		Type:     typ.String(),
-		CacheHit: hit,
-		Result:   res,
-	})
+	emitRun(*format, rec)
 	reportCache(cache)
-	if res.Deadlocked {
+	if rec.Result.Deadlocked {
 		fmt.Println("the run deadlocked: this is the Fig. 10 write-deadlock that the bloom-filter protocol prevents")
 		os.Exit(1)
 	}
+}
+
+// run simulates src under cfg through the cache (nil disables it) and
+// tags the result with its unit ID.
+func run(cache *rmwtso.Cache, cfg rmwtso.SimConfig, src rmwtso.TraceSource, seed int64, scale float64) (runRecord, error) {
+	res, hit, err := rmwtso.SimulateSourceCached(cache, cfg, src, seed, scale)
+	if err != nil {
+		return runRecord{}, err
+	}
+	return runRecord{
+		Unit:     rmwtso.SimCacheKey(cfg, src, seed, scale).UnitID(),
+		Trace:    src.Name(),
+		Type:     cfg.RMWType.String(),
+		CacheHit: hit,
+		Result:   res,
+	}, nil
 }
 
 // reportCache prints the cache counters on stderr when caching is on.

@@ -4,8 +4,8 @@
 // First the semantics side: model-check Dekker's algorithm with its writes
 // replaced by RMWs (the paper's Fig. 3) under the three RMW atomicity
 // definitions and print which of them preserve mutual exclusion. Then the
-// implementation side: sweep a small lock-based workload across the RMW
-// types on the simulated chip multiprocessor and print how much cheaper
+// implementation side: run a small lock-based workload under each RMW
+// type on the simulated chip multiprocessor and print how much cheaper
 // the weaker RMWs are.
 //
 // Run with:
@@ -51,39 +51,44 @@ func semantics() {
 }
 
 // implementation compares the RMW types' cost on a small simulated
-// machine, sweeping the three types in parallel.
+// machine, running the three types in parallel as one plan.
 func implementation() {
 	fmt.Println("== Implementation: per-RMW cost on the simulated CMP ==")
-	gen := rmwtso.Generator{Cores: 8, Seed: 1}
 	profile, err := rmwtso.FindProfile("radiosity")
 	if err != nil {
 		log.Fatal(err)
 	}
 	profile.Iterations = 64 // keep the quickstart fast
 
-	// Source yields the workload lazily, one episode per core at a time;
-	// the sweep below never materializes the trace, so the same code runs
+	// The plan's units stream the workload lazily, one episode per core at
+	// a time, and never materialize the trace, so the same code runs
 	// paper-scale workloads at bounded memory.
-	source, err := gen.Source(profile)
+	opts := rmwtso.Options{Cores: 8, Scale: 1, Seed: 1}
+	spec := rmwtso.BenchmarkSpec{Profile: profile, Types: rmwtso.AllTypes()}
+	plan, err := rmwtso.BuildPlan(opts, []rmwtso.BenchmarkSpec{spec})
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	cfg := rmwtso.DefaultSimConfig().WithCores(8)
-	runs, err := rmwtso.NewRunner().SweepSource(cfg, source)
+	res, err := rmwtso.NewRunner().RunPlan(nil, plan, rmwtso.FullShard())
 	if err != nil {
 		log.Fatal(err)
 	}
-	base := runs[0].Result // the sweep preserves type order: type-1 first
+	runs, err := plan.Runs(res.Units)
+	if err != nil {
+		log.Fatal(err)
+	}
+	run := runs[0]
+	base := run.Result(rmwtso.Type1)
 	_, _, baseCost := base.AvgRMWCost()
-	for _, run := range runs {
-		wb, rawa, total := run.Result.AvgRMWCost()
+	for _, typ := range spec.Types {
+		r := run.Result(typ)
+		wb, rawa, total := r.AvgRMWCost()
 		fmt.Printf("  %-7s avg RMW cost %6.1f cycles (write-buffer %5.1f + Ra/Wa %5.1f), execution %d cycles",
-			run.Type, total, wb, rawa, run.Result.Cycles)
-		if run.Type != rmwtso.Type1 {
+			typ, total, wb, rawa, r.Cycles)
+		if typ != rmwtso.Type1 {
 			fmt.Printf("  -> %.1f%% cheaper per RMW, %.1f%% faster overall",
 				rmwtso.PercentReduction(baseCost, total),
-				rmwtso.PercentReduction(float64(base.Cycles), float64(run.Result.Cycles)))
+				rmwtso.PercentReduction(float64(base.Cycles), float64(r.Cycles)))
 		}
 		fmt.Println()
 	}

@@ -145,7 +145,7 @@ func ReadShardFile(path string) (*ShardResult, error) {
 // shard must carry the plan's fingerprint, every plan unit must appear
 // exactly once across the shards, and no shard may carry a unit the plan
 // does not know. The reconstructed runs are in plan order and deeply
-// equal to an unsharded RunPlan's — so a report built from them encodes
+// equal to an unsharded plan job's — so a report built from them encodes
 // byte-identically.
 func MergeShards(plan *Plan, shards ...*ShardResult) ([]*BenchmarkRun, error) {
 	var units []UnitResult

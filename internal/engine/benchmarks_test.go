@@ -16,7 +16,25 @@ import (
 // runSpecs runs one benchmark sweep through a fresh engine — the single
 // runUnit path every mode funnels into.
 func runSpecs(o experiments.Options, specs []experiments.BenchmarkSpec) ([]*experiments.BenchmarkRun, error) {
-	return engine.New().RunBenchmarks(o, specs)
+	return runSeeds(engine.New(), o, specs, o.Seed)
+}
+
+// runSeeds builds the plan of specs over seeds, submits it to eng as one
+// unsharded plan job and reassembles its runs.
+func runSeeds(eng *engine.Engine, o experiments.Options, specs []experiments.BenchmarkSpec, seeds ...int64) ([]*experiments.BenchmarkRun, error) {
+	plan, err := engine.BuildPlanSeeds(o, specs, seeds...)
+	if err != nil {
+		return nil, err
+	}
+	h, err := eng.Submit(nil, engine.Job{Plan: plan})
+	if err != nil {
+		return nil, err
+	}
+	res, err := h.Wait()
+	if err != nil {
+		return nil, err
+	}
+	return plan.Runs(res.Shard.Units)
 }
 
 // cacheTestOptions are small enough for the differential suite to run in
@@ -139,10 +157,10 @@ func TestCacheDirOption(t *testing.T) {
 	}
 }
 
-// TestRunBenchmarksValidates covers the garbage inputs the engine must
-// reject before they reach the generator or a cache key (Validate itself
-// is pinned in the experiments package's own tests).
-func TestRunBenchmarksValidates(t *testing.T) {
+// TestPlanValidates covers the garbage inputs the engine must reject
+// before they reach the generator or a cache key (Validate itself is
+// pinned in the experiments package's own tests).
+func TestPlanValidates(t *testing.T) {
 	cases := map[string]experiments.Options{
 		"negative cores":        {Cores: -1, Scale: 1},
 		"negative scale":        {Cores: 4, Scale: -0.5},
@@ -151,7 +169,7 @@ func TestRunBenchmarksValidates(t *testing.T) {
 	}
 	for name, o := range cases {
 		if _, err := runSpecs(o, experiments.Table3Specs()[:1]); err == nil {
-			t.Errorf("%s: RunBenchmarks accepted %+v", name, o)
+			t.Errorf("%s: plan accepted %+v", name, o)
 		}
 	}
 }

@@ -144,7 +144,7 @@ func (x *planExec) executor(cfg CoordinationConfig, worker string, ack func(Unit
 				return nil, err
 			}
 		}
-		ur, err := x.run(u)
+		ur, err := x.runUnit(u)
 		if err != nil {
 			return nil, err
 		}

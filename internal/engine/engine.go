@@ -94,13 +94,13 @@ func ChannelObserver(ch chan<- Event) Observer {
 	return func(e Event) { ch <- e }
 }
 
-// SimRun is one simulator run of a sweep: one trace under one RMW type.
+// SimRun is one simulator run of a plan unit: one trace under one RMW
+// type.
 type SimRun struct {
 	// Unit is the run's stable plan-unit identifier (derived from the
 	// content-addressed cache key), so streamed progress events correlate
 	// with Plan entries without reconstructing the (trace, type, seed)
-	// tuple. It is empty for uncacheable SweepSource runs, whose key
-	// material is unknown.
+	// tuple.
 	Unit UnitID
 	// Trace is the name of the simulated trace.
 	Trace string
@@ -154,15 +154,16 @@ func WithEnumWorkers(n int) Option {
 }
 
 // WithCache makes the Engine consult (and fill) a content-addressed
-// result cache: litmus verdicts and plan/sweep simulator runs. Hits skip
+// result cache: litmus verdicts and plan simulator runs. Hits skip
 // the computation entirely and are flagged on the streamed event; results
 // are identical either way. A nil cache disables caching (the default).
 func WithCache(c *simcache.Cache) Option {
 	return func(o *options) { o.cache = c }
 }
 
-// WithRMWTypes restricts the atomicity types the Engine checks or sweeps.
-// The default is all three types.
+// WithRMWTypes restricts the atomicity types the Engine's litmus and
+// mapping jobs check. Plan jobs run exactly their plan's units. The
+// default is all three types.
 func WithRMWTypes(types ...AtomicityType) Option {
 	return func(o *options) { o.types = append([]AtomicityType(nil), types...) }
 }
@@ -235,18 +236,11 @@ func (e *Engine) emitTo(m *metrics, ev Event) {
 	m.obs(ev)
 }
 
-// runUnits executes run(0..n-1) on the worker pool under the Engine's
-// own context. It returns the context's error if cancelled, otherwise the
-// first unit error. Units are claimed in order but finish in any order;
-// each unit writes only its own result slot, so aggregates stay
-// deterministic.
-func (e *Engine) runUnits(n int, run func(int) error) error {
-	return e.runUnitsCtx(e.opts.ctx, n, run)
-}
-
-// runUnitsCtx is runUnits under an explicit context (plan jobs accept a
-// per-call context on top of the Engine's).
-func (e *Engine) runUnitsCtx(ctx context.Context, n int, run func(int) error) error {
+// runUnits executes run(0..n-1) on the worker pool under ctx. It returns
+// the context's error if cancelled, otherwise the first unit error. Units
+// are claimed in order but finish in any order; each unit writes only its
+// own result slot, so aggregates stay deterministic.
+func (e *Engine) runUnits(ctx context.Context, n int, run func(int) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -308,13 +302,4 @@ func (e *Engine) runUnitsCtx(ctx context.Context, n int, run func(int) error) er
 		return err
 	}
 	return firstErr
-}
-
-// simulateSource runs one streaming source on the configuration.
-func simulateSource(cfg SimConfig, src TraceSource) (*SimResult, error) {
-	s, err := sim.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return s.RunSource(src)
 }

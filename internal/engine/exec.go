@@ -100,17 +100,22 @@ func (x *planExec) groupCached(g *planGroup) bool {
 	return true
 }
 
-// run executes one plan unit. A deadlocked run fails the unit: only the
-// Fig. 10 demo expects deadlock, and it runs as a sweep, not a plan.
-func (x *planExec) run(u Unit) (UnitResult, error) {
-	r, err := x.e.runUnit(x.base, u, x.source(u.group), x.cache, x.m)
+// runUnit executes one plan unit through SimulateCached and emits its
+// SimRun event. It is the single execution path behind the static pool
+// and the lease queue's workers (in-process and HTTP), so the modes
+// cannot drift. A deadlocked run fails the unit: only the Fig. 10 demo
+// expects deadlock, and it runs outside the plan pipeline.
+func (x *planExec) runUnit(u Unit) (UnitResult, error) {
+	res, hit, err := SimulateCached(x.cache, u.Key, x.base.WithRMWType(u.Type), x.source(u.group))
 	if err != nil {
 		return UnitResult{}, err
 	}
-	if r.Result.Deadlocked {
+	x.m.unitDone(hit)
+	x.e.emitTo(x.m, Event{Sim: &SimRun{Unit: u.ID, Trace: u.Trace, Type: u.Type, Result: res, CacheHit: hit}})
+	if res.Deadlocked {
 		return UnitResult{}, deadlockError(u)
 	}
-	return UnitResult{Unit: u.ID, Trace: u.Trace, Type: u.Type, Seed: u.Seed, CacheHit: r.CacheHit, Result: r.Result}, nil
+	return UnitResult{Unit: u.ID, Trace: u.Trace, Type: u.Type, Seed: u.Seed, CacheHit: hit, Result: res}, nil
 }
 
 // fill stores a unit's result in its selection slot. A unit whose lease
@@ -154,8 +159,8 @@ func (e *Engine) runPlanJob(ctx context.Context, plan *Plan, shard Shard, m *met
 	if coord != nil {
 		return x.runQueue(ctx, *coord)
 	}
-	err = e.runUnitsCtx(ctx, len(x.selected), func(i int) error {
-		ur, err := x.run(x.selected[i])
+	err = e.runUnits(ctx, len(x.selected), func(i int) error {
+		ur, err := x.runUnit(x.selected[i])
 		if err != nil {
 			return err
 		}
@@ -168,34 +173,32 @@ func (e *Engine) runPlanJob(ctx context.Context, plan *Plan, shard Shard, m *met
 	return x.shardResult(func(UnitID) bool { return true }), nil
 }
 
-// runUnit executes one unit against src — serving it from the cache when
-// possible, simulating and storing otherwise — and emits its SimRun
-// event. It is the single execution path behind the static pool, the
-// lease queue's workers (in-process and HTTP) and the trace sweeps, so
-// the modes cannot drift. They share one deadlock policy: a deadlocked
-// result never counts as a cache hit and is never stored. A deadlocked
-// cache entry (only a foreign writer can leave one) comes back like a
-// fresh deadlock; plan callers turn it into deadlockError, sweeps return
-// it.
-func (e *Engine) runUnit(cfg SimConfig, u Unit, src TraceSource, cache *simcache.Cache, m *metrics) (SimRun, error) {
-	run := SimRun{Unit: u.ID, Trace: u.Trace, Type: u.Type}
+// SimulateCached runs cfg on src through cache under key: a stored
+// result is served without simulating (hit), a fresh one is simulated
+// and stored. It is the one deadlock policy of every cached run — plan
+// units and single runs alike: a deadlocked result never counts as a
+// hit and is never stored. A deadlocked entry (only a foreign writer can
+// leave one) comes back like a fresh deadlock, not re-simulated. A nil
+// cache simulates every call.
+func SimulateCached(cache *simcache.Cache, key CacheKey, cfg SimConfig, src TraceSource) (*SimResult, bool, error) {
+	var res *SimResult
+	hit := false
 	if cache != nil {
-		run.Result, run.CacheHit = cache.GetSim(u.Key)
+		res, hit = cache.GetSim(key)
 	}
-	if run.Result == nil {
-		res, err := simulateSource(cfg.WithRMWType(u.Type), src)
+	if res == nil {
+		s, err := sim.New(cfg)
 		if err != nil {
-			return SimRun{}, err
+			return nil, false, err
+		}
+		if res, err = s.RunSource(src); err != nil {
+			return nil, false, err
 		}
 		if cache != nil && !res.Deadlocked {
-			_ = cache.PutSim(u.Key, res)
+			_ = cache.PutSim(key, res)
 		}
-		run.Result = res
 	}
-	run.CacheHit = run.CacheHit && !run.Result.Deadlocked
-	m.unitDone(run.CacheHit)
-	e.emitTo(m, Event{Sim: &run})
-	return run, nil
+	return res, hit && !res.Deadlocked, nil
 }
 
 // deadlockError reports a plan unit whose run wedged.

@@ -117,40 +117,3 @@ func (e *Engine) Submit(ctx context.Context, job Job) (*JobHandle, error) {
 	}()
 	return h, nil
 }
-
-// RunPlan executes the units of the plan a shard selects and returns
-// their results as a shard artifact; it is Submit + Wait for a plan job.
-// Unit identities, order and results are exactly the plan's: running
-// shards 0..n-1 of a plan on n processes and merging the artifacts
-// (MergeShards) reconstructs the unsharded sweep bit for bit.
-func (e *Engine) RunPlan(ctx context.Context, plan *Plan, shard Shard) (*ShardResult, error) {
-	h, err := e.Submit(ctx, Job{Plan: plan, Shard: shard})
-	if err != nil {
-		return nil, err
-	}
-	res, err := h.Wait()
-	if err != nil {
-		return nil, err
-	}
-	return res.Shard, nil
-}
-
-// CheckTests model-checks every test under every configured RMW type;
-// Submit + Wait for an unsharded litmus job.
-func (e *Engine) CheckTests(tests ...*Test) ([]TestResult, error) {
-	return e.CheckTestsSharded(FullShard(), tests...)
-}
-
-// CheckTestsSharded is CheckTests restricted to the verdict units the
-// shard selects; Submit + Wait for a sharded litmus job.
-func (e *Engine) CheckTestsSharded(shard Shard, tests ...*Test) ([]TestResult, error) {
-	h, err := e.Submit(nil, Job{Litmus: &LitmusGrid{Tests: tests}, Shard: shard})
-	if err != nil {
-		return nil, err
-	}
-	res, err := h.Wait()
-	if err != nil {
-		return nil, err
-	}
-	return res.Verdicts, nil
-}

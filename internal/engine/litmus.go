@@ -55,7 +55,7 @@ func (e *Engine) checkTestsSharded(ctx context.Context, shard Shard, m *metrics,
 	}
 	m.planned(len(units))
 	results := make([]TestResult, len(units))
-	err := e.runUnitsCtx(ctx, len(units), func(i int) error {
+	err := e.runUnits(ctx, len(units), func(i int) error {
 		u := units[i]
 		if e.opts.cache != nil {
 			if res, ok := cachedVerdict(e.opts.cache, tests[u.ti], types[u.yi]); ok {
@@ -101,7 +101,7 @@ func (e *Engine) ValidateMappings(programs ...*Cpp11Program) ([]MappingResult, e
 		}
 	}
 	results := make([]MappingResult, len(units))
-	err := e.runUnits(len(units), func(i int) error {
+	err := e.runUnits(e.opts.ctx, len(units), func(i int) error {
 		u := units[i]
 		res, err := cpp11.ValidateMappingParallel(e.opts.ctx, programs[u.pi], mappings[u.mi], types[u.yi], e.opts.enumWorkers)
 		if err != nil {

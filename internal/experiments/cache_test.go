@@ -9,7 +9,7 @@ import (
 // TestOptionsValidate covers the garbage inputs the harness must reject
 // before they reach the generator or a cache key. The engine's sweep
 // entry point is pinned to reject the same inputs in
-// internal/engine's TestRunBenchmarksValidates.
+// internal/engine's TestPlanValidates.
 func TestOptionsValidate(t *testing.T) {
 	cases := map[string]Options{
 		"negative cores":        {Cores: -1, Scale: 1},

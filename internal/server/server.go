@@ -151,10 +151,19 @@ func (s *Server) Run(ctx context.Context) error {
 	return s.Serve(ctx, ln)
 }
 
+// Connection timeouts of the HTTP server. A client that never finishes
+// its request headers, or parks an idle keep-alive connection, would
+// otherwise hold a connection for ever. There is deliberately no write
+// timeout: SSE event streams stay open for a job's whole lifetime.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Serve is Run over a caller-provided listener (which it takes ownership
 // of), so callers can bind port 0 and learn the address first.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	hs := &http.Server{Handler: s.mux}
+	hs := s.httpServer()
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {
@@ -166,6 +175,11 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	return hs.Shutdown(shutCtx)
+}
+
+// httpServer builds the HTTP server Serve runs over the service's mux.
+func (s *Server) httpServer() *http.Server {
+	return &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // Drain runs the graceful-drain state machine: serving → draining

@@ -545,3 +545,20 @@ func TestFleetModeEndToEnd(t *testing.T) {
 		t.Fatalf("fleet report coordination section = %+v, want http mode with worker w1", report.Coordination)
 	}
 }
+
+// TestHTTPServerTimeouts pins the slow-client bounds of Serve's HTTP
+// server: headers and idle keep-alives time out, writes do not (SSE
+// streams are long-lived).
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := srv.httpServer()
+	if hs.ReadHeaderTimeout <= 0 || hs.IdleTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, IdleTimeout = %v, want both set", hs.ReadHeaderTimeout, hs.IdleTimeout)
+	}
+	if hs.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want none for SSE streams", hs.WriteTimeout)
+	}
+}

@@ -161,6 +161,10 @@ func (p *processor) run(c cont, arg, at uint64) {
 	case contFenceDrained:
 		p.schedule(at, contStep, 0)
 	case contRMWDrained:
+		// A type-1 RMW locks its line only behind an empty write buffer.
+		if n := p.wb.Len(); n != 0 {
+			panic(fmt.Sprintf("sim: core %d: RMW locking line %#x with %d write-buffer entries", p.id, p.opLine, n))
+		}
 		p.drained = at
 		p.access(p.opLine, directory.GetM, true, at, contRMWLocked, 0)
 	case contRMWLocked:

@@ -97,29 +97,13 @@ func LitmusCacheKey(t *Test, typ AtomicityType) CacheKey {
 // SimulateSourceCached is SimulateSource through a cache: on a hit the
 // stored result is returned (hit == true) without running the simulator;
 // on a miss the run executes and its result is stored best-effort. A nil
-// cache degrades to plain SimulateSource. The configuration is validated
-// before any key is digested. Deadlocked runs (the Fig. 10 demo) are
-// never stored and never served: they represent a failure mode the
-// experiment harness must keep rejecting identically on warm and cold
-// runs, so they always re-execute.
+// cache simulates every call. The configuration is validated before any
+// key is digested. Deadlocked runs (the Fig. 10 demo) follow the plan
+// pipeline's policy: they are never stored and never count as hits, and
+// a deadlocked entry left by a foreign writer is returned as a deadlock.
 func SimulateSourceCached(c *Cache, cfg SimConfig, src TraceSource, seed int64, scale float64) (*SimResult, bool, error) {
-	if c == nil {
-		res, err := SimulateSource(cfg, src)
-		return res, false, err
-	}
 	if err := cfg.Validate(); err != nil {
 		return nil, false, err
 	}
-	key := SimCacheKey(cfg, src, seed, scale)
-	if res, ok := c.GetSim(key); ok && !res.Deadlocked {
-		return res, true, nil
-	}
-	res, err := SimulateSource(cfg, src)
-	if err != nil {
-		return nil, false, err
-	}
-	if !res.Deadlocked {
-		_ = c.PutSim(key, res)
-	}
-	return res, false, nil
+	return engine.SimulateCached(c, SimCacheKey(cfg, src, seed, scale), cfg, src)
 }

@@ -14,8 +14,38 @@ func tinyOptions(cache *rmwtso.Cache) rmwtso.Options {
 	return rmwtso.Options{Cores: 4, Scale: 0.1, Seed: 20130601, Cache: cache}
 }
 
+// runSpecs runs the plan of specs unsharded on r and reassembles its
+// benchmark runs.
+func runSpecs(r *rmwtso.Runner, o rmwtso.Options, specs []rmwtso.BenchmarkSpec) ([]*rmwtso.BenchmarkRun, error) {
+	plan, err := rmwtso.BuildPlan(o, specs)
+	if err != nil {
+		return nil, err
+	}
+	res, err := r.RunPlan(nil, plan, rmwtso.FullShard())
+	if err != nil {
+		return nil, err
+	}
+	return plan.Runs(res.Units)
+}
+
+// runTypes runs src under each RMW type through SimulateSourceCached, in
+// type order, as rmwsim -sweep does.
+func runTypes(c *rmwtso.Cache, cfg rmwtso.SimConfig, src rmwtso.TraceSource, seed int64, types ...rmwtso.AtomicityType) ([]*rmwtso.SimResult, []bool, error) {
+	var results []*rmwtso.SimResult
+	var hits []bool
+	for _, typ := range types {
+		res, hit, err := rmwtso.SimulateSourceCached(c, cfg.WithRMWType(typ), src, seed, 1)
+		if err != nil {
+			return nil, nil, err
+		}
+		results = append(results, res)
+		hits = append(hits, hit)
+	}
+	return results, hits, nil
+}
+
 // TestRunnerBenchmarkCacheObserver is the acceptance check of the cache:
-// a second RunBenchmarks over the same cache serves every unit as a
+// a second run of the same plan over the same cache serves every unit as a
 // CacheHit event — zero simulator runs — and returns deeply equal runs.
 func TestRunnerBenchmarkCacheObserver(t *testing.T) {
 	cache, err := rmwtso.OpenCache(rmwtso.CacheDir(t.TempDir()))
@@ -40,9 +70,9 @@ func TestRunnerBenchmarkCacheObserver(t *testing.T) {
 	}
 	runner := rmwtso.NewRunner(rmwtso.WithObserver(observer), rmwtso.WithCache(cache))
 
-	cold, err := runner.RunBenchmarks(tinyOptions(nil), specs)
+	cold, err := runSpecs(runner, tinyOptions(nil), specs)
 	if err != nil {
-		t.Fatalf("cold RunBenchmarks: %v", err)
+		t.Fatalf("cold plan: %v", err)
 	}
 	if got := hits.Load(); got != 0 {
 		t.Fatalf("cold run streamed %d cache hits, want 0", got)
@@ -53,9 +83,9 @@ func TestRunnerBenchmarkCacheObserver(t *testing.T) {
 
 	events.Store(0)
 	hits.Store(0)
-	warm, err := runner.RunBenchmarks(tinyOptions(nil), specs)
+	warm, err := runSpecs(runner, tinyOptions(nil), specs)
 	if err != nil {
-		t.Fatalf("warm RunBenchmarks: %v", err)
+		t.Fatalf("warm plan: %v", err)
 	}
 	if got := hits.Load(); got != int64(units) {
 		t.Fatalf("warm run streamed %d cache hits, want %d (zero simulator runs)", got, units)
@@ -77,10 +107,10 @@ func TestOptionsCachePlumbing(t *testing.T) {
 	}
 	runner := rmwtso.NewRunner()
 	specs := rmwtso.Table3Specs()[:1]
-	if _, err := runner.RunBenchmarks(tinyOptions(cache), specs); err != nil {
+	if _, err := runSpecs(runner, tinyOptions(cache), specs); err != nil {
 		t.Fatalf("cold: %v", err)
 	}
-	if _, err := runner.RunBenchmarks(tinyOptions(cache), specs); err != nil {
+	if _, err := runSpecs(runner, tinyOptions(cache), specs); err != nil {
 		t.Fatalf("warm: %v", err)
 	}
 	st := cache.Stats()
@@ -89,9 +119,10 @@ func TestOptionsCachePlumbing(t *testing.T) {
 	}
 }
 
-// TestSweepSourceCached covers the rmwsim-style sweep: the second sweep
-// over the same source replays all three per-type runs from the cache.
-func TestSweepSourceCached(t *testing.T) {
+// TestSimulateSourceCachedTypeSweep covers the rmwsim -sweep pattern:
+// the second pass over the same source replays all three per-type runs
+// from the cache, and a different seed misses.
+func TestSimulateSourceCachedTypeSweep(t *testing.T) {
 	cache, err := rmwtso.OpenCache()
 	if err != nil {
 		t.Fatalf("OpenCache: %v", err)
@@ -107,13 +138,13 @@ func TestSweepSourceCached(t *testing.T) {
 		t.Fatalf("Source: %v", err)
 	}
 	cfg := rmwtso.DefaultSimConfig().WithCores(4)
+	types := rmwtso.AllTypes()
 
-	runner := rmwtso.NewRunner(rmwtso.WithCache(cache))
-	cold, err := runner.SweepSourceCached(cfg, src, 7, 1)
+	cold, _, err := runTypes(cache, cfg, src, 7, types...)
 	if err != nil {
 		t.Fatalf("cold sweep: %v", err)
 	}
-	warm, err := runner.SweepSourceCached(cfg, src, 7, 1)
+	warm, warmHits, err := runTypes(cache, cfg, src, 7, types...)
 	if err != nil {
 		t.Fatalf("warm sweep: %v", err)
 	}
@@ -121,21 +152,21 @@ func TestSweepSourceCached(t *testing.T) {
 		t.Fatalf("sweep sizes differ")
 	}
 	for i := range warm {
-		if !warm[i].CacheHit {
-			t.Errorf("warm run %s not served from cache", warm[i].Type)
+		if !warmHits[i] {
+			t.Errorf("warm run %s not served from cache", types[i])
 		}
-		if !reflect.DeepEqual(warm[i].Result, cold[i].Result) {
-			t.Errorf("warm result for %s differs", warm[i].Type)
+		if !reflect.DeepEqual(warm[i], cold[i]) {
+			t.Errorf("warm result for %s differs", types[i])
 		}
 	}
 	// A different seed must miss: the key includes the workload identity.
-	reseed, err := runner.SweepSourceCached(cfg, src, 8, 1)
+	_, reseedHits, err := runTypes(cache, cfg, src, 8, types...)
 	if err != nil {
 		t.Fatalf("reseeded sweep: %v", err)
 	}
-	for _, r := range reseed {
-		if r.CacheHit {
-			t.Errorf("different seed hit the cache for %s", r.Type)
+	for i, hit := range reseedHits {
+		if hit {
+			t.Errorf("different seed hit the cache for %s", types[i])
 		}
 	}
 }
@@ -216,9 +247,10 @@ func TestSimulateSourceCached(t *testing.T) {
 	}
 }
 
-// TestDeadlockPolicy pins the deadlock policy plan jobs and sweeps share:
-// a deadlocked result never counts as a cache hit and is never stored;
-// a plan fails on it naming the unit, while a sweep returns it.
+// TestDeadlockPolicy pins the one deadlock policy plan jobs and single
+// cached runs share: a deadlocked result never counts as a cache hit and
+// is never stored; a plan fails on it naming the unit, while
+// SimulateSourceCached returns it.
 func TestDeadlockPolicy(t *testing.T) {
 	t.Run("plan fails on a foreign deadlocked entry", func(t *testing.T) {
 		cache, err := rmwtso.OpenCache()
@@ -239,6 +271,32 @@ func TestDeadlockPolicy(t *testing.T) {
 		}
 	})
 
+	t.Run("single run returns a foreign deadlocked entry", func(t *testing.T) {
+		cache, err := rmwtso.OpenCache()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The trace completes under deadlock avoidance, so a deadlocked
+		// result can only come from the planted entry.
+		cfg := rmwtso.DefaultSimConfig().WithCores(2).WithRMWType(rmwtso.Type2)
+		src := rmwtso.Fig10Trace(2).Source()
+		key := rmwtso.SimCacheKey(cfg, src, 1, 1)
+		if err := cache.PutSim(key, &rmwtso.SimResult{Deadlocked: true}); err != nil {
+			t.Fatal(err)
+		}
+		before := cache.Stats()
+		res, hit, err := rmwtso.SimulateSourceCached(cache, cfg, src, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Deadlocked || hit {
+			t.Fatalf("deadlocked=%v hit=%v, want the planted deadlock returned as a miss", res.Deadlocked, hit)
+		}
+		if st := cache.Stats(); st.Stores != before.Stores || cache.Len() != 1 {
+			t.Fatalf("cache stats %+v with %d entries, want nothing new stored", st, cache.Len())
+		}
+	})
+
 	t.Run("sweep returns naive Fig. 10 deadlocks uncached", func(t *testing.T) {
 		cache, err := rmwtso.OpenCache()
 		if err != nil {
@@ -247,16 +305,16 @@ func TestDeadlockPolicy(t *testing.T) {
 		cfg := rmwtso.DefaultSimConfig().WithCores(2)
 		cfg.DisableDeadlockAvoidance = true
 		cfg.MaxCycles = 1_000_000
-		runner := rmwtso.NewRunner(rmwtso.WithCache(cache), rmwtso.WithRMWTypes(rmwtso.Type2, rmwtso.Type3))
+		types := []rmwtso.AtomicityType{rmwtso.Type2, rmwtso.Type3}
 		for pass := 0; pass < 2; pass++ {
-			runs, err := runner.SweepSourceCached(cfg, rmwtso.Fig10Trace(2).Source(), 1, 1)
+			results, hits, err := runTypes(cache, cfg, rmwtso.Fig10Trace(2).Source(), 1, types...)
 			if err != nil {
 				t.Fatalf("pass %d: %v", pass, err)
 			}
-			for _, r := range runs {
-				if !r.Result.Deadlocked || r.CacheHit {
+			for i, res := range results {
+				if !res.Deadlocked || hits[i] {
 					t.Errorf("pass %d: %s deadlocked=%v cache hit=%v, want a fresh deadlock",
-						pass, r.Type, r.Result.Deadlocked, r.CacheHit)
+						pass, types[i], res.Deadlocked, hits[i])
 				}
 			}
 		}

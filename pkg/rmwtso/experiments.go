@@ -96,31 +96,6 @@ func Table3Specs() []BenchmarkSpec { return experiments.Table3Specs() }
 // types that are sound for them.
 func Cpp11Specs() []BenchmarkSpec { return experiments.Cpp11Specs() }
 
-// RunBenchmarks simulates every (spec, type) pair across the worker pool,
-// streaming each finished run to the observer. A spec's types are
-// intersected with the Runner's configured types (WithRMWTypes); specs
-// left with no types are dropped.
-//
-// It is a thin wrapper over the plan pipeline: the (spec, type) grid is
-// enumerated into a Plan of content-addressed units, executed unsharded
-// with RunPlan (lazy streaming by default, Options.Materialize to share
-// pre-built traces per spec, the Runner's or options' result cache
-// consulted per unit and hits streamed flagged CacheHit) and reassembled
-// with Plan.Runs — so an in-process sweep and a sharded fleet run through
-// one code path and produce identical results. Results come back in spec
-// order with one ByType entry per simulated type.
-func (r *Runner) RunBenchmarks(o Options, specs []BenchmarkSpec) ([]*BenchmarkRun, error) {
-	return r.eng.RunBenchmarks(o, specs)
-}
-
-// RunBenchmarksSeeds is RunBenchmarks over an explicit workload seed
-// list: the full (spec, type) grid is rerun under every seed in one
-// plan, yielding one BenchmarkRun per (spec, seed) pair. Reports built
-// from multi-seed runs gain the cross-seed mean/CI section (SeedStats).
-func (r *Runner) RunBenchmarksSeeds(o Options, specs []BenchmarkSpec, seeds ...int64) ([]*BenchmarkRun, error) {
-	return r.eng.RunBenchmarksSeeds(o, specs, seeds...)
-}
-
 // SeedAggregate is the cross-seed mean/CI statistics of one (benchmark,
 // RMW type) cell of a multi-seed sweep.
 type SeedAggregate = experiments.SeedAggregate

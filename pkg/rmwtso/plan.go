@@ -38,9 +38,10 @@ type Shard = engine.Shard
 
 // BuildPlan enumerates the sweep plan for the options and benchmark
 // specs: units are ordered spec-major, then seed, then RMW type — the
-// exact execution and result order of Runner.RunBenchmarks. Specs with no
-// types are skipped. It fails on invalid options or configurations and on
-// a unit-ID collision (which would make two distinct work units alias).
+// order in which RunPlan dispatches them and Plan.Runs reassembles them.
+// Specs with no types are skipped. It fails on invalid options or
+// configurations and on a unit-ID collision (which would make two
+// distinct work units alias).
 func BuildPlan(o Options, specs []BenchmarkSpec) (*Plan, error) {
 	return engine.BuildPlan(o, specs)
 }
@@ -73,9 +74,9 @@ func FullShard() Shard { return engine.FullShard() }
 // shards), as taken by the binaries' -shard flag.
 func ParseShard(spec string) (Shard, error) { return engine.ParseShard(spec) }
 
-// RunPlan executes the units of the plan a shard selects on the Runner's
-// worker pool and returns their results as a shard artifact. A nil ctx
-// uses the Runner's context (WithContext). Unit identities, order and
+// RunPlan executes the units of the plan a shard selects and returns
+// their results as a shard artifact: Submit + Wait for a plan job. A nil
+// ctx uses the Runner's context (WithContext). Unit identities, order and
 // results are exactly the plan's: running shards 0..n-1 of a plan on n
 // processes and merging the artifacts (MergeShards) reconstructs the
 // unsharded sweep bit for bit.
@@ -83,9 +84,17 @@ func ParseShard(spec string) (Shard, error) { return engine.ParseShard(spec) }
 // The plan — not the Runner's WithRMWTypes restriction — determines what
 // runs: dropping plan units silently would leave merges incomplete. Each
 // source group's trace streams lazily (or materializes once, with the
-// plan options' Materialize) exactly like RunBenchmarks, and the Runner's
-// cache (WithCache, else the plan options' Cache/CacheDir) serves and
-// stores units by the same keys, so warm shards do zero simulation work.
+// plan options' Materialize), and the Runner's cache (WithCache, else the
+// plan options' Cache/CacheDir) serves and stores units by the same keys,
+// so warm shards do zero simulation work.
 func (r *Runner) RunPlan(ctx context.Context, plan *Plan, shard Shard) (*ShardResult, error) {
-	return r.eng.RunPlan(ctx, plan, shard)
+	h, err := r.Submit(ctx, Job{Plan: plan, Shard: shard})
+	if err != nil {
+		return nil, err
+	}
+	res, err := h.Wait()
+	if err != nil {
+		return nil, err
+	}
+	return res.Shard, nil
 }

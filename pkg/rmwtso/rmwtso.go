@@ -12,8 +12,8 @@
 //   - the implementation layer: the cycle-approximate chip-multiprocessor
 //     simulator and its trace/workload generators (Simulate, Generator,
 //     Fig10Trace);
-//   - the evaluation layer: the paper's tables and figures
-//     (Runner.RunBenchmarks with Table3Specs, RenderTable1, ...).
+//   - the evaluation layer: the paper's tables and figures (a Plan built
+//     from Table3Specs and run with Runner.RunPlan, RenderTable1, ...).
 //
 // Work is driven through a Runner configured with functional options:
 //
@@ -27,7 +27,9 @@
 // The Runner fans work units (one litmus verdict, one mapping validation,
 // one simulator run) across a goroutine pool, streams every finished unit
 // to the observer as it completes, and still returns the aggregate in a
-// deterministic order. Litmus tests and C/C++11 validation programs live
+// deterministic order. Runner.Submit is the one way to dispatch a job — a
+// Plan of simulator units or a LitmusGrid of verdicts; RunPlan and
+// CheckTests are Submit + Wait. Litmus tests and C/C++11 validation programs live
 // in name-keyed registries with glob filtering:
 //
 //	results, err := rmwtso.Suite().Filter("SB*").Run(rmwtso.WithParallelism(4))

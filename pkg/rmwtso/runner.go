@@ -20,10 +20,10 @@ type Observer = engine.Observer
 // unbuffered.
 func ChannelObserver(ch chan<- Event) Observer { return engine.ChannelObserver(ch) }
 
-// SimRun is one simulator run of a sweep: one trace under one RMW type.
-// Unit carries the run's stable plan-unit identifier (empty for runs
-// outside the unit model), and CacheHit marks a run served from the
-// Runner's result cache without executing the simulator.
+// SimRun is one simulator run of a plan unit: one trace under one RMW
+// type. Unit carries the run's stable plan-unit identifier, and CacheHit
+// marks a run served from the Runner's result cache without executing
+// the simulator.
 type SimRun = engine.SimRun
 
 // Option configures a Runner.
@@ -55,15 +55,16 @@ func WithObserver(fn Observer) Option { return engine.WithObserver(fn) }
 func WithEnumWorkers(n int) Option { return engine.WithEnumWorkers(n) }
 
 // WithCache makes the Runner consult (and fill) a content-addressed
-// result cache: litmus verdicts in CheckTests, and simulator
-// runs in RunBenchmarks and the Cached sweep variants. Hits skip the
-// computation entirely and are flagged on the streamed event (SimRun and
-// TestResult carry a CacheHit field); results are identical either way.
-// A nil cache disables caching (the default).
+// result cache: litmus verdicts and the simulator runs of plan jobs. Hits
+// skip the computation entirely and are flagged on the streamed event
+// (SimRun and TestResult carry a CacheHit field); results are identical
+// either way. A nil cache disables caching (the default).
 func WithCache(c *Cache) Option { return engine.WithCache(c) }
 
-// WithRMWTypes restricts the atomicity types the Runner checks or sweeps.
-// The default is all three types.
+// WithRMWTypes restricts the atomicity types the Runner's litmus and
+// mapping jobs check. Plan jobs run exactly their plan's units; narrow a
+// simulation sweep through its BenchmarkSpec Types instead. The default
+// is all three types.
 func WithRMWTypes(types ...AtomicityType) Option { return engine.WithRMWTypes(types...) }
 
 // Job is one unit of work submitted to the execution engine: exactly one
@@ -137,24 +138,27 @@ func (r *Runner) Metrics() Metrics { return r.eng.Metrics() }
 // configured cache plus every shard artifact the engine has produced.
 func (r *Runner) Results() *ResultStore { return r.eng.Results() }
 
-// CheckTests model-checks every test under every configured RMW type.
-// Each (test, type) verdict is one work unit; finished verdicts stream to
-// the observer immediately. The returned slice is ordered (test, type)
-// regardless of parallelism or completion order.
+// CheckTests model-checks every test under every configured RMW type:
+// Submit + Wait for an unsharded litmus job. Each (test, type) verdict is
+// one work unit; finished verdicts stream to the observer immediately.
+// The returned slice is ordered (test, type) regardless of parallelism or
+// completion order.
 func (r *Runner) CheckTests(tests ...*Test) ([]TestResult, error) {
-	return r.eng.CheckTests(tests...)
+	return r.checkShard(FullShard(), tests)
 }
 
-// CheckTestsSharded is CheckTests restricted to the verdict units a
-// shard selects, so a fleet can split one suite across processes exactly
-// like a simulation plan: the (test, type) grid is enumerated in
-// deterministic order, each unit's stable ID is the UnitID of its
-// content-addressed verdict key, and the round-robin selector (or unit-ID
-// predicate) keeps a deterministic subset. The returned slice holds only
-// the selected units, still in (test, type) order, and every result
-// carries its unit ID for correlation.
-func (r *Runner) CheckTestsSharded(shard Shard, tests ...*Test) ([]TestResult, error) {
-	return r.eng.CheckTestsSharded(shard, tests...)
+// checkShard submits the litmus job of the verdict units the shard
+// selects and waits for its verdicts.
+func (r *Runner) checkShard(shard Shard, tests []*Test) ([]TestResult, error) {
+	h, err := r.Submit(nil, Job{Litmus: &LitmusGrid{Tests: tests}, Shard: shard})
+	if err != nil {
+		return nil, err
+	}
+	res, err := h.Wait()
+	if err != nil {
+		return nil, err
+	}
+	return res.Verdicts, nil
 }
 
 // ValidateMappings validates every Table 4 mapping under every configured
@@ -162,26 +166,4 @@ func (r *Runner) CheckTestsSharded(shard Shard, tests ...*Test) ([]TestResult, e
 // one work unit; the returned slice is ordered (program, mapping, type).
 func (r *Runner) ValidateMappings(programs ...*Cpp11Program) ([]MappingResult, error) {
 	return r.eng.ValidateMappings(programs...)
-}
-
-// SweepSource simulates one streaming trace source under every configured
-// RMW type, one run per work unit, without ever materializing the trace:
-// each run pulls fresh per-core streams from the source, so peak memory is
-// bounded by the source's window regardless of trace length. The source's
-// Stream method must return independent iterators (Generator.Source and
-// Trace.Source both do), since the per-type runs consume it concurrently.
-// The returned slice is ordered like the configured types; deadlocked
-// runs are returned, not failed.
-func (r *Runner) SweepSource(cfg SimConfig, src TraceSource) ([]SimRun, error) {
-	return r.eng.SweepSource(cfg, src)
-}
-
-// SweepSourceCached is SweepSource consulting the Runner's cache
-// (WithCache), with the workload seed and scale that produced src
-// completing each run's cache key. Hits replay stored results (flagged
-// CacheHit on the run and its streamed event) without simulating; misses
-// run and are stored. Without a configured cache it behaves exactly like
-// SweepSource.
-func (r *Runner) SweepSourceCached(cfg SimConfig, src TraceSource, seed int64, scale float64) ([]SimRun, error) {
-	return r.eng.SweepSourceCached(cfg, src, seed, scale)
 }

@@ -221,10 +221,10 @@ func TestRunPlanEventsCarryUnitIDs(t *testing.T) {
 	}
 }
 
-// TestCheckTestsShardedPartition asserts the litmus verdict grid shards
-// like a plan: disjoint, collectively exhaustive, IDs stable, and the
+// TestLitmusShardPartition asserts the litmus verdict grid shards like a
+// plan: disjoint, collectively exhaustive, IDs stable, and the
 // merged verdict set equal to the unsharded run's.
-func TestCheckTestsShardedPartition(t *testing.T) {
+func TestLitmusShardPartition(t *testing.T) {
 	view := rmwtso.Suite().Filter("SB*")
 	all, err := view.Run()
 	if err != nil {

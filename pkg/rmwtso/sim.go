@@ -38,8 +38,9 @@ type TraceSource = sim.TraceSource
 // without regeneration cost).
 func MaterializeTrace(src TraceSource) *Trace { return sim.Materialize(src) }
 
-// SimResult holds the statistics of one simulation run, including the
-// per-RMW cost split of Fig. 11(a).
+// SimResult holds the statistics of one simulation run: per-core
+// counters, among them the summed RMW cost components and completed-RMW
+// count that AvgRMWCost turns into the Fig. 11(a) split.
 type SimResult = sim.Result
 
 // NewTrace returns an empty trace for the given core count.
@@ -61,9 +62,9 @@ func TraceFence() TraceOp { return sim.Fence() }
 func TraceCompute(cycles uint64) TraceOp { return sim.Compute(cycles) }
 
 // Simulate runs one materialized trace on the simulated machine described
-// by the configuration. For sweeping one trace across several RMW types
-// in parallel, use Runner.SweepSource on trace.Source(); for
-// bounded-memory runs of long workloads, use SimulateSource.
+// by the configuration. For bounded-memory runs of long workloads, use
+// SimulateSource; for benchmark sweeps across the RMW types, build a Plan
+// and run it with Runner.RunPlan.
 func Simulate(cfg SimConfig, trace *Trace) (*SimResult, error) {
 	s, err := sim.New(cfg)
 	if err != nil {

@@ -55,23 +55,23 @@ func TestSimulateSourceMatchesSimulate(t *testing.T) {
 	}
 }
 
-// TestRunBenchmarksStreamingMatchesMaterialized asserts the criterion at
-// the sweep level: a full (reduced) Table 3 + C/C++11 parallel sweep with
+// TestPlanStreamingMatchesMaterialized asserts the criterion at the
+// sweep level: a full (reduced) Table 3 + C/C++11 parallel plan with
 // Options.Materialize produces exactly the per-type results of the default
-// streaming sweep.
-func TestRunBenchmarksStreamingMatchesMaterialized(t *testing.T) {
+// streaming plan.
+func TestPlanStreamingMatchesMaterialized(t *testing.T) {
 	specs := append(rmwtso.Table3Specs(), rmwtso.Cpp11Specs()...)
 	runner := rmwtso.NewRunner(rmwtso.WithParallelism(4))
 
 	streamedOpts := streamTestOptions()
-	streamed, err := runner.RunBenchmarks(streamedOpts, specs)
+	streamed, err := runSpecs(runner, streamedOpts, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	materializedOpts := streamTestOptions()
 	materializedOpts.Materialize = true
-	materialized, err := runner.RunBenchmarks(materializedOpts, specs)
+	materialized, err := runSpecs(runner, materializedOpts, specs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,5 +151,5 @@ func (v *SuiteView) RunShard(shard Shard, opts ...Option) ([]TestResult, error) 
 	if v.err != nil {
 		return nil, v.err
 	}
-	return NewRunner(opts...).CheckTestsSharded(shard, v.tests...)
+	return NewRunner(opts...).checkShard(shard, v.tests)
 }
